@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.special import gammaln, logsumexp
@@ -140,8 +141,30 @@ def xi(m: int) -> float:
     return value
 
 
-def _layer_spectral_norms(net: EquivariantNetwork) -> list[float]:
-    return [spectral_norm(layer.matrix) for layer in net.layers]
+def _layer_norms(net: EquivariantNetwork) -> tuple[list[float], list[float]]:
+    """Spectral and Frobenius norms of every layer, read from its superblocks.
+
+    W = Q_out S Q_in^T with orthogonal Q and S block-diagonal over irreps,
+    so |W|_2 is the largest superblock spectral norm and |W|_F is the root
+    of the summed squared superblock Frobenius norms.
+    """
+    specs, fros = [], []
+    for layer in net.layers:
+        blocks = layer.superblocks().values()
+        specs.append(max((spectral_norm(b) for b in blocks), default=0.0))
+        fros.append(math.hypot(*(np.linalg.norm(b) for b in blocks)))
+    if any(s == 0.0 for s in specs):
+        raise ValueError("a layer has zero spectral norm")
+    return specs, fros
+
+
+def _sigma0(
+    net: EquivariantNetwork, specs: list[float], gamma: float, B: float, eta: float
+) -> float:
+    L = net.depth
+    beta = float(np.prod(specs)) ** (1.0 / L)
+    sum_sqrt_m = sum(math.sqrt(m_factor(net, l, eta)) for l in range(1, L + 1))
+    return gamma / (4.0 * math.e * B * beta ** (L - 1) * sum_sqrt_m)
 
 
 def posterior_sigma(
@@ -153,13 +176,7 @@ def posterior_sigma(
     notional rescaling that equalizes them without changing the
     network function.
     """
-    specs = _layer_spectral_norms(net)
-    if any(s == 0.0 for s in specs):
-        raise ValueError("a layer has zero spectral norm")
-    L = net.depth
-    beta = float(np.prod(specs)) ** (1.0 / L)
-    sum_sqrt_m = sum(math.sqrt(m_factor(net, l, eta)) for l in range(1, L + 1))
-    return gamma / (4.0 * math.e * B * beta ** (L - 1) * sum_sqrt_m)
+    return _sigma0(net, _layer_norms(net)[0], gamma, B, eta)
 
 
 def kl_term(net: EquivariantNetwork, sigma0: float) -> float:
@@ -182,9 +199,7 @@ def perturbation_rhs(
     """
     if len(perturbations) != net.depth:
         raise ValueError("need one perturbation per layer")
-    specs = _layer_spectral_norms(net)
-    if any(s == 0.0 for s in specs):
-        raise ValueError("a layer has zero spectral norm")
+    specs, _ = _layer_norms(net)
     L = net.depth
     u_norms = [spectral_norm(U) for U in perturbations]
     for u, w in zip(u_norms, specs):
@@ -253,6 +268,14 @@ class BoundInputs:
     train_err: float = float("nan")
     test_err: float = float("nan")
 
+    @cached_property
+    def norms(self) -> tuple[list[float], list[float]]:
+        """Per-layer (spectral, Frobenius) norms of `net`, taken on first use.
+
+        Build new inputs after changing the network's coefficients.
+        """
+        return _layer_norms(self.net)
+
     def __post_init__(self) -> None:
         if self.m < 1:
             raise ValueError("m must be >= 1")
@@ -315,10 +338,7 @@ def main_bound(inputs: BoundInputs) -> BoundReport:
     """
     net = inputs.net
     L = net.depth
-    specs = _layer_spectral_norms(net)
-    if any(s == 0.0 for s in specs):
-        raise ValueError("a layer has zero spectral norm")
-    fros = [float(np.linalg.norm(layer.matrix)) for layer in net.layers]
+    specs, fros = inputs.norms
     s_sums = [fourier_frobenius_sum(layer) for layer in net.layers]
     m_facs = [m_factor(net, l, inputs.eta) for l in range(1, L + 1)]
     prod_spec_sq = float(np.prod([s * s for s in specs]))
@@ -334,7 +354,7 @@ def main_bound(inputs: BoundInputs) -> BoundReport:
         * sum_ratio
     )
     xi_m, conf, conf_literal = _confidence_terms(inputs, L)
-    sigma0 = posterior_sigma(net, inputs.gamma, inputs.B, inputs.eta)
+    sigma0 = _sigma0(net, specs, inputs.gamma, inputs.B, inputs.eta)
     return BoundReport(
         group_kind=net.group.kind,
         N=net.group.N,
@@ -416,9 +436,7 @@ def groupconv_bound(inputs: BoundInputs) -> GroupConvTerms:
     irreps = irreps_of(G)
     D_H = max(psi.dim**2 / psi.type_c for psi in irreps)
     E_H = sum(psi.dim / psi.type_c for psi in irreps)
-    specs = _layer_spectral_norms(net)
-    if any(s == 0.0 for s in specs):
-        raise ValueError("a layer has zero spectral norm")
+    specs, _ = inputs.norms
     s_sums = [fourier_frobenius_sum(layer) for layer in net.layers]
     prod_spec_sq = float(np.prod([s * s for s in specs]))
     sum_ratio = sum(s / (w * w) for s, w in zip(s_sums, specs))
@@ -452,10 +470,7 @@ def alternative_bound(inputs: BoundInputs) -> float:
     h and the largest irrep dimension of H.
     """
     net = inputs.net
-    specs = _layer_spectral_norms(net)
-    if any(s == 0.0 for s in specs):
-        raise ValueError("a layer has zero spectral norm")
-    fros = [float(np.linalg.norm(layer.matrix)) for layer in net.layers]
+    specs, fros = inputs.norms
     L = net.depth
     h = max(rep.dim for rep in net.reps)
     max_dim = max(psi.dim for psi in irreps_of(net.group))

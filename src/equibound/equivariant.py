@@ -130,14 +130,12 @@ class EquivariantLayer:
     def block_matrix(self) -> np.ndarray:
         """The layer matrix in block coordinates (zero across irreps)."""
         S = np.zeros((self.out_rep.dim, self.in_rep.dim))
+        blocks = self.superblocks()
         for b in self.shared:
-            block = expand_coefficients(
-                np.ascontiguousarray(self.coefficients[b.irrep_id]), b.basis
-            )
             S[
                 b.out_offset : b.out_offset + b.m_out * b.dim,
                 b.in_offset : b.in_offset + b.m_in * b.dim,
-            ] = block
+            ] = blocks[b.irrep_id]
         return S
 
     def superblocks(self) -> dict[str, np.ndarray]:
@@ -362,7 +360,6 @@ class TrainConfig:
     batch_size: int = 256
     seed: int = 0
     target_fraction: float = 0.99
-    record_bound_terms: bool = False
 
     def __post_init__(self) -> None:
         if self.gamma <= 0:
@@ -377,7 +374,6 @@ class TrainResult:
     margin_accuracy: float
     loss_history: list[float] = field(default_factory=list)
     margin_history: list[float] = field(default_factory=list)
-    bound_trace: list[dict] | None = None
 
 
 class MarginNotReached(RuntimeError):
@@ -390,16 +386,6 @@ class MarginNotReached(RuntimeError):
         )
         self.epochs = epochs
         self.achieved = achieved
-
-
-def _bound_terms_snapshot(net: EquivariantNetwork) -> dict:
-    spec = [
-        float(np.linalg.norm(layer.matrix, 2)) for layer in net.layers
-    ]
-    return {
-        "spectral_norms": spec,
-        "coefficient_sq_sums": [layer.coefficient_sq_sum() for layer in net.layers],
-    }
 
 
 def train(
@@ -430,8 +416,6 @@ def train(
     }
     step = 0
     result = TrainResult(epochs=0, margin_accuracy=0.0)
-    if cfg.record_bound_terms:
-        result.bound_trace = []
     for epoch in range(1, cfg.max_epochs + 1):
         order = rng.permutation(m)
         epoch_loss = 0.0
@@ -460,8 +444,6 @@ def train(
         result.margin_accuracy = frac
         result.loss_history.append(epoch_loss / max(n_batches, 1))
         result.margin_history.append(frac)
-        if result.bound_trace is not None:
-            result.bound_trace.append(_bound_terms_snapshot(net))
         if frac >= cfg.target_fraction:
             return result
     raise MarginNotReached(cfg.max_epochs, result.margin_accuracy)

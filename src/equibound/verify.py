@@ -304,20 +304,6 @@ def mc_tail_check(
     )
 
 
-def _perturbed_matrix(layer: EquivariantLayer, coeffs: dict[str, np.ndarray]) -> np.ndarray:
-    """Dense matrix of a perturbation given by coefficient arrays."""
-    from .kernels import expand_coefficients
-
-    S = np.zeros((layer.out_rep.dim, layer.in_rep.dim))
-    for b in layer.shared:
-        S[
-            b.out_offset : b.out_offset + b.m_out * b.dim,
-            b.in_offset : b.in_offset + b.m_in * b.dim,
-        ] = expand_coefficients(np.ascontiguousarray(coeffs[b.irrep_id]), b.basis)
-    T = layer.in_rep.from_block(S)
-    return layer.out_rep.from_block(T.T).T
-
-
 def mc_perturbation_check(
     net: EquivariantNetwork,
     sigma: float,
@@ -356,7 +342,9 @@ def mc_perturbation_check(
                 )
                 for b in layer.shared
             }
-            draws.append((coeffs, _perturbed_matrix(layer, coeffs)))
+            perturbation = EquivariantLayer(layer.in_rep, layer.out_rep)
+            perturbation.set_coefficients(coeffs)
+            draws.append((coeffs, perturbation.matrix))
         u_norms = [spectral_norm(U) for _, U in draws]
         if any(u > w / L for u, w in zip(u_norms, spec_w)):
             rejected += 1

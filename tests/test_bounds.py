@@ -41,6 +41,7 @@ from equibound.irreps import (
     stack_rep,
     trivial_stack,
 )
+from equibound.verify import dense_spectral_oracle
 
 
 def _regular_net(kind="cyclic", N=4, channels=(2, 1), seed=0):
@@ -466,6 +467,12 @@ def test_main_bound_rejects_zero_norm_layer():
     net = EquivariantNetwork(G, [EquivariantLayer(reg, reg)], (), 2)
     with pytest.raises(ValueError):
         main_bound(_inputs(net))
+    # Reps that share no irrep leave the layer without superblocks.
+    disjoint = EquivariantLayer(trivial_stack(G, 2), restricted_frequency_rep(G, 1, False))
+    assert disjoint.shared == ()
+    net = EquivariantNetwork(G, [disjoint], (), 2)
+    with pytest.raises(ValueError, match="zero spectral norm"):
+        main_bound(_inputs(net))
 
 
 def test_bound_inputs_validation():
@@ -480,6 +487,50 @@ def test_bound_inputs_validation():
         _inputs(net, eta=1.0)
     with pytest.raises(ValueError):
         _inputs(net, delta=0.0)
+
+
+# ------------------------------------------------- norms from superblocks
+
+
+@pytest.mark.parametrize(
+    "kind, N, channels, rtol",
+    [
+        ("cyclic", 1, (6, 5), 1e-9),
+        ("cyclic", 8, (6, 5), 1e-9),
+        ("dihedral", 4, (5, 4), 1e-9),
+        ("quaternion", 8, (4, 3), 1e-9),
+        # Superblocks wider than 64 take spectral_norm's power iteration,
+        # whose stopping rule bounds the step, not the error: these hold it
+        # to test_spectral_norm_power_iteration_path's tolerance.
+        ("cyclic", 1, (80, 70), 1e-8),
+        ("cyclic", 8, (40, 36), 1e-8),
+    ],
+)
+def test_report_norms_match_dense_matrix(kind, N, channels, rtol):
+    """Superblock norms equal the dense W's: the change of basis is orthogonal."""
+    G = build_group(kind, N)
+    if kind == "quaternion":
+        inp = regular_representation(G)
+    else:
+        inp = restricted_frequency_rep(G, 1, kind == "dihedral")
+    net = _randomize(build_network(G, inp, list(channels), 3, seed=31), seed=32)
+    report = compute_report(_inputs(net))
+    for layer, spec, fro in zip(net.layers, report.spectral_norms, report.frobenius_norms):
+        assert spec == pytest.approx(dense_spectral_oracle(layer.matrix), rel=rtol)
+        assert fro == pytest.approx(np.linalg.norm(layer.matrix), rel=1e-12)
+
+
+def test_compute_report_never_reads_dense_matrix(monkeypatch):
+    G, net = _regular_net("dihedral", 3, channels=(2, 2), seed=33)
+    _randomize(net, seed=34)
+    expected = compute_report(_inputs(net))
+
+    def dense_read(layer):
+        raise AssertionError("compute_report read a dense layer matrix")
+
+    monkeypatch.setattr(EquivariantLayer, "matrix", property(dense_read))
+    report = compute_report(_inputs(net))
+    assert report_to_csv_row(report) == report_to_csv_row(expected)
 
 
 # ---------------------------------------------------------- groupconv bound
