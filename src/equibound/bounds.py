@@ -189,17 +189,23 @@ def kl_term(net: EquivariantNetwork, sigma0: float) -> float:
 
 
 def perturbation_rhs(
-    net: EquivariantNetwork, perturbations: list[np.ndarray], B: float
+    net: EquivariantNetwork,
+    perturbations: list[np.ndarray],
+    B: float,
+    specs: list[float] | None = None,
 ) -> float:
     """Right side of the output-perturbation inequality.
 
     Requires the admissibility condition |U_l| <= |W_l| / L for every
     layer; outside it the inequality is not claimed and this raises.
     Returns e * B * prod_l |W_l| * sum_l |U_l| / |W_l| (spectral norms).
+    `specs` holds the layer spectral norms |W_l| as `_layer_norms(net)`
+    gives them; they are computed when it is None.
     """
     if len(perturbations) != net.depth:
         raise ValueError("need one perturbation per layer")
-    specs, _ = _layer_norms(net)
+    if specs is None:
+        specs, _ = _layer_norms(net)
     L = net.depth
     u_norms = [spectral_norm(U) for U in perturbations]
     for u, w in zip(u_norms, specs):

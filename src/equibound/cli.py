@@ -12,7 +12,9 @@ Subcommands:
   bodies.
 
 Exit codes: 0 on success, 2 for invalid configuration, 3 when training
-misses the margin target outside of a sweep.
+misses the margin target outside of a sweep, 4 when training diverges
+(a non-finite loss or coefficients; a sweep stops at that cell and
+writes no rows.csv).
 """
 
 from __future__ import annotations
@@ -48,6 +50,7 @@ from .datasets import (
 from .equivariant import (
     MarginNotReached,
     TrainConfig,
+    TrainingDiverged,
     build_network,
     channels_for_width,
     empirical_margin_loss,
@@ -426,7 +429,8 @@ def run_sweep(cfg: SweepConfig) -> dict:
 
     Returns {"rows": ..., "csv_path": ..., "summary_path": ..., "summary": ...}.
     MarginNotReached cells are recorded with margin_reached=0 rather
-    than dropped.
+    than dropped.  TrainingDiverged is not caught: it ends the sweep
+    before rows.csv is written.
     """
     import os
 
@@ -707,6 +711,9 @@ def main(argv: list[str] | None = None) -> int:
     except MarginNotReached as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except TrainingDiverged as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 4
     except (ValueError, FileNotFoundError, KeyError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

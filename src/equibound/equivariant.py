@@ -3,10 +3,21 @@
 A layer maps between two RepSpecs and is parametrized purely in the
 Fourier domain: for every irrep shared by the input and output reps,
 each (output copy, input copy) pair carries one coefficient vector of
-length c_psi whose expansion in the intertwiner basis forms the block
-of the layer matrix in block coordinates.  The dense matrix
-W = Q_out (block matrix) Q_in^T is cached and rebuilt lazily when
-coefficients change; by construction it commutes with the group action.
+length c_psi whose expansion in the intertwiner basis forms one block
+of that irrep's superblock.  In block coordinates the layer is the
+direct sum of its superblocks, so applying it is a change of basis
+into the input's block coordinates, one matmul per shared irrep, and a
+change of basis back out of the output's; the superblocks are cached
+until the coefficients change.  The dense matrix W = Q_out (block
+matrix) Q_in^T commutes with the group action by construction and is
+the oracle of the verification checks.
+
+Training and evaluation apply a wide layer through its superblocks.  A
+layer whose dense matrix holds fewer entries than EVAL_ROWS rows of its
+input and output (the narrow data-input and logit layers, and small
+hidden layers) is applied through W instead: rebuilding W after an
+update then costs less than the two basis changes of every batch.
+Gradients are formed in block coordinates on both routes.
 
 Networks alternate these layers with pointwise ReLU applied in the
 represented coordinates (the group domain for regular-representation
@@ -17,6 +28,7 @@ logits are invariant.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,6 +50,7 @@ __all__ = [
     "EquivariantNetwork",
     "MarginNotReached",
     "TrainConfig",
+    "TrainingDiverged",
     "TrainResult",
     "build_network",
     "channels_for_width",
@@ -50,9 +63,20 @@ __all__ = [
 ]
 
 
+# Rows per forward pass when `margins` evaluates a full set, so that its
+# peak memory does not grow with the number of samples.  It is also the
+# batch size against which a layer picks its route (see
+# EquivariantLayer.blockwise).
+EVAL_ROWS = 256
+
+
 @dataclass(frozen=True, eq=False)
 class _SharedBlock:
-    """One irrep common to a layer's input and output reps."""
+    """One irrep common to a layer's input and output reps.
+
+    `in_cols` and `out_cols` are its columns in the input's and the
+    output's block coordinates.
+    """
 
     irrep_id: str
     dim: int
@@ -62,13 +86,44 @@ class _SharedBlock:
     in_offset: int
     out_offset: int
 
+    @property
+    def in_cols(self) -> slice:
+        return slice(self.in_offset, self.in_offset + self.m_in * self.dim)
+
+    @property
+    def out_cols(self) -> slice:
+        return slice(self.out_offset, self.out_offset + self.m_out * self.dim)
+
+
+def _products(
+    rows: int, dim: int, parts: list[tuple[slice, np.ndarray, np.ndarray]]
+) -> np.ndarray:
+    """A (rows, dim) array holding a @ b in the columns of each (columns, a, b).
+
+    Columns that no part covers are zero.
+    """
+    if len(parts) == 1 and parts[0][0] == slice(0, dim):
+        return parts[0][1] @ parts[0][2]
+    covered = sum(cols.stop - cols.start for cols, _, _ in parts)
+    out = np.empty((rows, dim)) if covered == dim else np.zeros((rows, dim))
+    for cols, a, b in parts:
+        np.matmul(a, b, out=out[:, cols])
+    return out
+
 
 class EquivariantLayer:
     """A linear map constrained to commute with the group action.
 
     Parameters live in `coefficients`, a dict keyed by irrep id holding
-    arrays of shape (m_out, m_in, c_psi).  The dense matrix is cached;
-    call `mark_dirty` after mutating coefficient arrays in place.
+    arrays of shape (m_out, m_in, c_psi).  The superblocks they expand
+    to are cached, and so is the dense `matrix` once read; call
+    `mark_dirty` after mutating coefficient arrays in place.
+
+    `blockwise` selects how `apply` computes A W^T: through the
+    superblocks, or through the dense matrix.  It is true when W has
+    more entries than EVAL_ROWS rows of input and output together, so
+    that rebuilding W would cost more than the block route's basis
+    changes of a batch; either route gives the same values.
     """
 
     def __init__(self, in_rep: RepSpec, out_rep: RepSpec):
@@ -99,8 +154,10 @@ class EquivariantLayer:
             b.irrep_id: np.zeros((b.m_out, b.m_in, b.basis.shape[0]))
             for b in self.shared
         }
+        self._superblocks: dict[str, np.ndarray] | None = None
         self._matrix: np.ndarray | None = None
-        self._dirty = True
+        n_in, n_out = in_rep.dim, out_rep.dim
+        self.blockwise = n_in * n_out > EVAL_ROWS * (n_in + n_out)
 
     @property
     def group(self) -> FiniteGroup:
@@ -111,7 +168,9 @@ class EquivariantLayer:
         return sum(a.size for a in self.coefficients.values())
 
     def mark_dirty(self) -> None:
-        self._dirty = True
+        """Drop the cached superblocks and dense matrix."""
+        self._superblocks = None
+        self._matrix = None
 
     def set_coefficients(self, values: dict[str, np.ndarray]) -> None:
         """Replace coefficient arrays (copied; shapes validated)."""
@@ -125,37 +184,55 @@ class EquivariantLayer:
                     f"{self.coefficients[pid].shape}, got {arr.shape}"
                 )
             self.coefficients[pid] = arr.copy()
-        self._dirty = True
+        self.mark_dirty()
 
     def block_matrix(self) -> np.ndarray:
         """The layer matrix in block coordinates (zero across irreps)."""
         S = np.zeros((self.out_rep.dim, self.in_rep.dim))
         blocks = self.superblocks()
         for b in self.shared:
-            S[
-                b.out_offset : b.out_offset + b.m_out * b.dim,
-                b.in_offset : b.in_offset + b.m_in * b.dim,
-            ] = blocks[b.irrep_id]
+            S[b.out_cols, b.in_cols] = blocks[b.irrep_id]
         return S
 
     def superblocks(self) -> dict[str, np.ndarray]:
-        """Per-irrep dense blocks (m_out*d, m_in*d) in block coordinates."""
-        return {
-            b.irrep_id: expand_coefficients(
-                np.ascontiguousarray(self.coefficients[b.irrep_id]), b.basis
-            )
-            for b in self.shared
-        }
+        """Per-irrep dense blocks (m_out*d, m_in*d) in block coordinates.
+
+        Cached until dirty; callers must not modify the arrays.
+        """
+        if self._superblocks is None:
+            self._superblocks = {
+                b.irrep_id: expand_coefficients(
+                    np.ascontiguousarray(self.coefficients[b.irrep_id]), b.basis
+                )
+                for b in self.shared
+            }
+        return self._superblocks
 
     @property
     def matrix(self) -> np.ndarray:
         """Dense W = Q_out (block matrix) Q_in^T, cached until dirty."""
-        if self._dirty or self._matrix is None:
+        if self._matrix is None:
             S = self.block_matrix()
             T = self.in_rep.from_block(S)
             self._matrix = self.out_rep.from_block(T.T).T
-            self._dirty = False
         return self._matrix
+
+    def apply(self, A: np.ndarray) -> tuple[np.ndarray | None, np.ndarray]:
+        """Apply the layer to batch rows A; returns (U, A W^T).
+
+        On the block route U is A in the input's block coordinates, which
+        the backward pass reuses; on the dense route it is None.
+        """
+        if not self.blockwise:
+            return None, A @ self.matrix.T
+        U = self.in_rep.to_block(A)
+        blocks = self.superblocks()
+        Z = _products(
+            A.shape[0],
+            self.out_rep.dim,
+            [(b.out_cols, U[:, b.in_cols], blocks[b.irrep_id].T) for b in self.shared],
+        )
+        return U, self.out_rep.from_block(Z)
 
     def coefficient_sq_sum(self) -> float:
         """Sum of squared Fourier coefficients over all blocks."""
@@ -215,8 +292,8 @@ class EquivariantNetwork:
         A = X
         last = len(self.layers) - 1
         for l, layer in enumerate(self.layers):
-            Z = A @ layer.matrix.T
-            A = Z if l == last else np.maximum(Z, 0.0)
+            _, Z = layer.apply(A)
+            A = Z if l == last else np.maximum(Z, 0.0, out=Z)
         return A
 
     def loss_and_grads(
@@ -224,24 +301,26 @@ class EquivariantNetwork:
     ) -> tuple[float, list[dict[str, np.ndarray]]]:
         """Mean cross-entropy and its gradient per coefficient array.
 
-        Gradients are projected onto the intertwiner basis through the
-        fixed orthogonal changes of basis, so they live in the same
-        (m_out, m_in, c) layout as the coefficients.
+        Each irrep's superblock gradient is the product of the output
+        gradient and the layer input, both in block coordinates,
+        projected onto the intertwiner basis into the (m_out, m_in, c)
+        layout of the coefficients.  The input gradient goes back the
+        way the layer was applied: through the superblocks, or through W.
         """
         X = np.asarray(X, dtype=np.float64)
         y = np.asarray(y)
         if X.ndim != 2 or X.shape[0] == 0:
             raise ValueError("need a nonempty 2D batch")
         last = len(self.layers) - 1
-        acts: list[np.ndarray] = []
+        inputs: list[np.ndarray] = []
         masks: list[np.ndarray] = []
         A = X
         for l, layer in enumerate(self.layers):
-            acts.append(A)
-            Z = A @ layer.matrix.T
+            U, Z = layer.apply(A)
+            inputs.append(layer.in_rep.to_block(A) if U is None else U)
             if l < last:
                 masks.append(Z > 0.0)
-                A = np.maximum(Z, 0.0)
+                A = np.maximum(Z, 0.0, out=Z)
             else:
                 A = Z
         loss, dZ = _cross_entropy(A, y)
@@ -249,17 +328,24 @@ class EquivariantNetwork:
         for l in range(last, -1, -1):
             layer = self.layers[l]
             gout = layer.out_rep.to_block(dZ)
-            gin = layer.in_rep.to_block(acts[l])
+            blocks = layer.superblocks()
             gdict = {}
+            back = []
             for b in layer.shared:
-                go = gout[:, b.out_offset : b.out_offset + b.m_out * b.dim]
-                gi = gin[:, b.in_offset : b.in_offset + b.m_in * b.dim]
+                go = gout[:, b.out_cols]
                 gdict[b.irrep_id] = project_coefficients(
-                    np.ascontiguousarray(go.T @ gi), b.basis
+                    go.T @ inputs[l][:, b.in_cols], b.basis
                 )
+                back.append((b.in_cols, go, blocks[b.irrep_id]))
             grads.append(gdict)
-            if l > 0:
-                dZ = (dZ @ layer.matrix) * masks[l - 1]
+            if l == 0:
+                break
+            if layer.blockwise:
+                dA = _products(dZ.shape[0], layer.in_rep.dim, back)
+                dA = layer.in_rep.from_block(dA)
+            else:
+                dA = dZ @ layer.matrix
+            dZ = dA * masks[l - 1]
         grads.reverse()
         return loss, grads
 
@@ -329,13 +415,22 @@ def build_network(
 
 
 def margins(net: EquivariantNetwork, X: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Per-sample margin: true-class logit minus the best other logit."""
-    logits = net.forward(np.asarray(X, dtype=np.float64))
-    rows = np.arange(logits.shape[0])
-    true = logits[rows, y]
-    rest = logits.copy()
-    rest[rows, y] = -np.inf
-    return true - rest.max(axis=1)
+    """Per-sample margin: true-class logit minus the best other logit.
+
+    The forward pass runs over blocks of EVAL_ROWS rows.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y)
+    out = np.empty(X.shape[0])
+    for start in range(0, X.shape[0], EVAL_ROWS):
+        stop = start + EVAL_ROWS
+        logits = net.forward(X[start:stop])
+        rows = np.arange(logits.shape[0])
+        labels = y[start:stop]
+        true = logits[rows, labels]
+        logits[rows, labels] = -np.inf
+        out[start:stop] = true - logits.max(axis=1)
+    return out
 
 
 def empirical_margin_loss(
@@ -388,6 +483,14 @@ class MarginNotReached(RuntimeError):
         self.achieved = achieved
 
 
+class TrainingDiverged(RuntimeError):
+    """Raised when a batch loss or the coefficients stop being finite."""
+
+    def __init__(self, epoch: int, what: str):
+        super().__init__(f"training diverged in epoch {epoch}: {what}")
+        self.epoch = epoch
+
+
 def train(
     net: EquivariantNetwork,
     X: np.ndarray,
@@ -399,6 +502,8 @@ def train(
     After each epoch the fraction of training points with margin
     strictly above cfg.gamma is evaluated; training stops once it
     reaches cfg.target_fraction and raises MarginNotReached otherwise.
+    Raises TrainingDiverged on the first non-finite batch loss, or when
+    the coefficients are not all finite at the end of an epoch.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y)
@@ -423,6 +528,8 @@ def train(
         for start in range(0, m, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
             loss, grads = net.loss_and_grads(X[idx], y[idx])
+            if not math.isfinite(loss):
+                raise TrainingDiverged(epoch, f"batch loss {loss}")
             epoch_loss += loss
             n_batches += 1
             step += 1
@@ -439,6 +546,10 @@ def train(
                         (m1 / corr1) / (np.sqrt(m2 / corr2) + eps)
                     )
                 layer.mark_dirty()
+        if not all(
+            np.isfinite(a).all() for layer in net.layers for a in layer.coefficients.values()
+        ):
+            raise TrainingDiverged(epoch, "non-finite coefficients")
         frac = float(np.mean(margins(net, X, y) > cfg.gamma))
         result.epochs = epoch
         result.margin_accuracy = frac

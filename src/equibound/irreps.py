@@ -230,13 +230,16 @@ class StackInfo:
     """Factored structure of a rep built as `channels` copies of a base rep.
 
     The full change of basis is kron(I_channels, base_Q) with columns
-    permuted by `perm` so that copies of the same irrep are grouped.
-    Used to apply Q and Q^T without materializing the dense matrix.
+    permuted by `perm` so that copies of the same irrep are grouped;
+    `inv_perm` undoes that grouping.  Used to apply Q and Q^T as one
+    GEMM over (rows * channels, base_dim) plus a column take, without
+    materializing the dense matrix.
     """
 
     base_Q: np.ndarray
     channels: int
     perm: np.ndarray
+    inv_perm: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -307,10 +310,8 @@ class RepSpec:
             return X
         if self.stack is not None:
             s = self.stack
-            n = s.base_Q.shape[0]
-            batch = X.shape[0]
-            U = np.matmul(X.reshape(batch, s.channels, n), s.base_Q)
-            return U.reshape(batch, self.dim)[:, s.perm]
+            U = X.reshape(-1, s.base_Q.shape[0]) @ s.base_Q
+            return np.take(U.reshape(X.shape[0], self.dim), s.perm, axis=1)
         return X @ self.Q
 
     def from_block(self, V: np.ndarray) -> np.ndarray:
@@ -319,12 +320,9 @@ class RepSpec:
             return V
         if self.stack is not None:
             s = self.stack
-            n = s.base_Q.shape[0]
-            batch = V.shape[0]
-            V0 = np.empty_like(V)
-            V0[:, s.perm] = V
-            X = np.matmul(V0.reshape(batch, s.channels, n), s.base_Q.T)
-            return X.reshape(batch, self.dim)
+            V0 = np.take(V, s.inv_perm, axis=1)
+            X = V0.reshape(-1, s.base_Q.shape[0]) @ s.base_Q.T
+            return X.reshape(V.shape[0], self.dim)
         return V @ self.Q.T
 
     def __repr__(self) -> str:
@@ -638,7 +636,9 @@ def stack_rep(base: RepSpec, channels: int) -> RepSpec:
     G = base.group
     blocks, perm = _grouped_perm(G, [base] * channels)
     Q = np.kron(np.eye(channels), base.Q)[:, perm]
-    info = StackInfo(base_Q=base.Q, channels=channels, perm=perm)
+    info = StackInfo(
+        base_Q=base.Q, channels=channels, perm=perm, inv_perm=np.argsort(perm)
+    )
     return RepSpec(group=G, blocks=blocks, Q=_freeze(Q), stack=info)
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bounds import perturbation_rhs, spectral_norm, tail_threshold
+from .bounds import _layer_norms, perturbation_rhs, spectral_norm, tail_threshold
 from .equivariant import EquivariantLayer, EquivariantNetwork
 from .groups import FiniteGroup
 from .irreps import (
@@ -326,7 +326,7 @@ def mc_perturbation_check(
     L = net.depth
     base = net.forward(X)
     weights = [layer.matrix.copy() for layer in net.layers]
-    spec_w = [spectral_norm(W) for W in weights]
+    spec_w, _ = _layer_norms(net)
     worst = -math.inf
     rejected = 0
     accepted = 0
@@ -350,7 +350,7 @@ def mc_perturbation_check(
             rejected += 1
             continue
         accepted += 1
-        rhs = perturbation_rhs(net, [U for _, U in draws], B)
+        rhs = perturbation_rhs(net, [U for _, U in draws], B, specs=spec_w)
         A = X
         for l, (W, (_, U)) in enumerate(zip(weights, draws)):
             Z = A @ (W + U).T

@@ -8,6 +8,7 @@ import pytest
 from equibound.cli import SweepConfig, _derive_seed, _parse_group, main, run_sweep
 from equibound.bounds import csv_header
 from equibound.datasets import load_dataset
+from equibound.equivariant import TrainingDiverged
 
 
 # ------------------------------------------------------------ small pieces
@@ -179,6 +180,48 @@ def test_train_margin_miss_exit_3(pipeline):
         ]
     )
     assert rc == 3
+
+
+def test_train_divergence_exit_4(pipeline, capsys):
+    rc = main(
+        [
+            "train",
+            "--data", pipeline["train"],
+            "--group", "cyclic",
+            "--n", "4",
+            "--widths", "32", "16",
+            "--lr", "1e300",
+            "--epochs", "800",
+            "--batch", "64",
+        ]
+    )
+    assert rc == 4
+    assert "diverged in epoch 1" in capsys.readouterr().err
+
+
+def test_sweep_divergence_writes_no_csv(tmp_path):
+    cfg = _tiny_sweep_config(tmp_path / "diverged")
+    cfg.learning_rate = 1e300
+    with pytest.raises(TrainingDiverged):
+        run_sweep(cfg)
+    assert not (tmp_path / "diverged" / "rows.csv").exists()
+    rc = main(
+        [
+            "sweep",
+            "--sizes", "2",
+            "--d", "2",
+            "--groups", "cyclic:2",
+            "--m-grid", "96",
+            "--seeds", "0",
+            "--widths", "16", "8",
+            "--test-m", "200",
+            "--learning-rate", "1e300",
+            "--batch-size", "32",
+            "--out-dir", str(tmp_path / "cli"),
+        ]
+    )
+    assert rc == 4
+    assert not (tmp_path / "cli" / "rows.csv").exists()
 
 
 def test_sweep_unknown_config_key_exit_2(tmp_path):

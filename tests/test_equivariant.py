@@ -7,6 +7,7 @@ from equibound.equivariant import (
     EquivariantLayer,
     MarginNotReached,
     TrainConfig,
+    TrainingDiverged,
     build_network,
     channels_for_width,
     empirical_margin_loss,
@@ -78,6 +79,21 @@ def test_layer_matrix_cache_dirty_flag():
     W2 = layer.matrix
     assert W2 is not W1
     assert not np.array_equal(W1, W2)
+
+
+def test_superblock_cache_follows_coefficients():
+    G, net = _small_net()
+    layer = net.layers[1]
+    blocks = layer.superblocks()
+    assert layer.superblocks() is blocks  # cached, no re-expansion
+    pid = next(iter(layer.coefficients))
+    layer.coefficients[pid] += 1.0
+    layer.mark_dirty()
+    again = layer.superblocks()
+    assert again is not blocks
+    assert not np.array_equal(again[pid], blocks[pid])
+    layer.set_coefficients({pid: layer.coefficients[pid] * 2.0})
+    assert layer.superblocks() is not again
 
 
 def test_materialize_regular_to_regular_is_group_circulant():
@@ -291,6 +307,29 @@ def test_train_margin_not_reached():
         train(net, X, y, cfg)
     assert info.value.epochs == 3
     assert 0.0 <= info.value.achieved < 0.99
+
+
+def test_train_divergence_stops_in_first_epoch():
+    G = build_group("cyclic", 4)
+    inp = restricted_frequency_rep(G, 1, False)
+    net = build_network(G, inp, [4, 2], 2, seed=0)
+    X, y = _toy_problem()
+    cfg = TrainConfig(gamma=0.5, max_epochs=800, learning_rate=1e300, batch_size=32, seed=0)
+    with pytest.raises(TrainingDiverged) as info:
+        train(net, X, y, cfg)
+    assert info.value.epoch == 1
+
+
+def test_train_divergence_checks_coefficients_at_epoch_end():
+    """One batch per epoch: the loss stays finite, the coefficients do not."""
+    G = build_group("cyclic", 4)
+    inp = restricted_frequency_rep(G, 1, False)
+    net = build_network(G, inp, [4, 2], 2, seed=0)
+    X, y = _toy_problem()
+    cfg = TrainConfig(gamma=0.5, max_epochs=800, learning_rate=np.inf, batch_size=120, seed=0)
+    with pytest.raises(TrainingDiverged, match="non-finite coefficients") as info:
+        train(net, X, y, cfg)
+    assert info.value.epoch == 1
 
 
 def test_train_is_deterministic():
