@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 from scipy.special import gammaln, logsumexp
@@ -121,11 +121,13 @@ def m_factor(net: EquivariantNetwork, l: int, eta: float) -> float:
     return math.log(total / (1.0 - eta)) * worst
 
 
+@cache
 def xi(m: int) -> float:
     """The binomial factor sum_k C(m,k)(k/m)^k(1-k/m)^(m-k), 0^0 = 1.
 
     Evaluated termwise in the log domain; raises OverflowError rather
-    than returning infinity.
+    than returning infinity.  Values are cached per m: a sweep bounds
+    many networks trained on the same number of samples.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -181,11 +183,13 @@ def posterior_sigma(
 
 def kl_term(net: EquivariantNetwork, sigma0: float) -> float:
     """KL divergence between posterior and prior: sum_l S_l / (2 sigma0^2)."""
+    return _kl([fourier_frobenius_sum(layer) for layer in net.layers], sigma0)
+
+
+def _kl(s_sums: list[float], sigma0: float) -> float:
     if sigma0 <= 0:
         raise ValueError("sigma0 must be positive")
-    return sum(fourier_frobenius_sum(layer) for layer in net.layers) / (
-        2.0 * sigma0**2
-    )
+    return sum(s_sums) / (2.0 * sigma0**2)
 
 
 def perturbation_rhs(
@@ -282,6 +286,11 @@ class BoundInputs:
         """
         return _layer_norms(self.net)
 
+    @cached_property
+    def fourier_sums(self) -> tuple[float, ...]:
+        """Per-layer S_l of `net` (see fourier_frobenius_sum), taken on first use."""
+        return tuple(fourier_frobenius_sum(layer) for layer in self.net.layers)
+
     def __post_init__(self) -> None:
         if self.m < 1:
             raise ValueError("m must be >= 1")
@@ -345,7 +354,7 @@ def main_bound(inputs: BoundInputs) -> BoundReport:
     net = inputs.net
     L = net.depth
     specs, fros = inputs.norms
-    s_sums = [fourier_frobenius_sum(layer) for layer in net.layers]
+    s_sums = inputs.fourier_sums
     m_facs = [m_factor(net, l, inputs.eta) for l in range(1, L + 1)]
     prod_spec_sq = float(np.prod([s * s for s in specs]))
     sum_sqrt_m = sum(math.sqrt(v) for v in m_facs)
@@ -380,7 +389,7 @@ def main_bound(inputs: BoundInputs) -> BoundReport:
         m_factors=tuple(m_facs),
         xi_m=xi_m,
         sigma0=sigma0,
-        kl=kl_term(net, sigma0),
+        kl=_kl(s_sums, sigma0),
         bound_main=inputs.train_margin_loss + math.sqrt(lead + conf),
         bound_main_as_written=inputs.train_margin_loss
         + math.sqrt(lead + conf_literal),
@@ -443,7 +452,7 @@ def groupconv_bound(inputs: BoundInputs) -> GroupConvTerms:
     D_H = max(psi.dim**2 / psi.type_c for psi in irreps)
     E_H = sum(psi.dim / psi.type_c for psi in irreps)
     specs, _ = inputs.norms
-    s_sums = [fourier_frobenius_sum(layer) for layer in net.layers]
+    s_sums = inputs.fourier_sums
     prod_spec_sq = float(np.prod([s * s for s in specs]))
     sum_ratio = sum(s / (w * w) for s, w in zip(s_sums, specs))
     sum_c_out = sum(counts[1:])

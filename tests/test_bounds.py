@@ -533,6 +533,21 @@ def test_compute_report_never_reads_dense_matrix(monkeypatch):
     assert report_to_csv_row(report) == report_to_csv_row(expected)
 
 
+def test_report_reuses_inputs_terms_exactly():
+    """Sums and KL read once per inputs equal the public functions, bit for bit."""
+    G, net = _regular_net("cyclic", 4, channels=(2, 3), seed=35)
+    _randomize(net, seed=36)
+    inputs = _inputs(net, m=300)
+    report = compute_report(inputs)
+    assert report.fourier_frobenius_sums == tuple(
+        fourier_frobenius_sum(layer) for layer in net.layers
+    )
+    assert report.kl == kl_term(net, report.sigma0)
+    assert report.xi_m == xi.__wrapped__(300)
+    again = compute_report(inputs)
+    assert report_to_csv_row(again) == report_to_csv_row(report)
+
+
 # ---------------------------------------------------------- groupconv bound
 
 
