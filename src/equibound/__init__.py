@@ -6,172 +6,4 @@ symmetric datasets, and computes norm-based generalization bounds
 whose terms are exposed for inspection and Monte-Carlo verification.
 """
 
-from .bounds import (
-    BoundInputs,
-    BoundReport,
-    GroupConvTerms,
-    TailBounds,
-    alternative_bound,
-    compute_report,
-    csv_header,
-    fourier_frobenius_sum,
-    groupconv_bound,
-    kl_term,
-    m_factor,
-    main_bound,
-    perturbation_rhs,
-    posterior_sigma,
-    report_to_csv_row,
-    report_to_json,
-    spectral_norm,
-    tail_threshold,
-    xi,
-)
-from .datasets import (
-    DatasetSpec,
-    Sample,
-    SampleSet,
-    generate_synthetic,
-    input_rep_for,
-    load_dataset,
-    randomize_labels,
-    sample,
-    save_dataset,
-)
-from .equivariant import (
-    EquivariantLayer,
-    EquivariantNetwork,
-    MarginNotReached,
-    TrainConfig,
-    TrainingDiverged,
-    TrainResult,
-    build_network,
-    channels_for_width,
-    empirical_margin_loss,
-    load_checkpoint,
-    margins,
-    materialize,
-    save_checkpoint,
-    train,
-)
-from .groups import GROUP_KINDS, FiniteGroup, build_group, compose, inverse
-from .irreps import (
-    Irrep,
-    RepSpec,
-    decompose_representation,
-    direct_sum,
-    fourier_transform,
-    fourier_transform_full,
-    group_circulant,
-    intertwiner_basis,
-    inverse_fourier,
-    irrep_by_id,
-    irreps_of,
-    multiplicities,
-    regular_matrices,
-    regular_representation,
-    rep_from_json,
-    rep_to_json,
-    restricted_frequency_rep,
-    stack_rep,
-    trivial_stack,
-)
-from .verify import (
-    CheckResult,
-    character_type_oracle,
-    check_equivariance,
-    chi_square_mc_check,
-    chi_square_threshold,
-    convolution_theorem_check,
-    dense_spectral_oracle,
-    format_check_result,
-    fourier_roundtrip,
-    intertwiner_identity_check,
-    mc_perturbation_check,
-    mc_tail_check,
-    rep_invariants_check,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "BoundInputs",
-    "BoundReport",
-    "CheckResult",
-    "DatasetSpec",
-    "EquivariantLayer",
-    "EquivariantNetwork",
-    "FiniteGroup",
-    "GROUP_KINDS",
-    "GroupConvTerms",
-    "Irrep",
-    "MarginNotReached",
-    "RepSpec",
-    "Sample",
-    "SampleSet",
-    "TailBounds",
-    "TrainConfig",
-    "TrainingDiverged",
-    "TrainResult",
-    "alternative_bound",
-    "build_group",
-    "build_network",
-    "channels_for_width",
-    "character_type_oracle",
-    "check_equivariance",
-    "chi_square_mc_check",
-    "chi_square_threshold",
-    "compose",
-    "compute_report",
-    "convolution_theorem_check",
-    "csv_header",
-    "decompose_representation",
-    "dense_spectral_oracle",
-    "direct_sum",
-    "empirical_margin_loss",
-    "format_check_result",
-    "fourier_frobenius_sum",
-    "fourier_roundtrip",
-    "fourier_transform",
-    "fourier_transform_full",
-    "generate_synthetic",
-    "group_circulant",
-    "groupconv_bound",
-    "input_rep_for",
-    "intertwiner_basis",
-    "intertwiner_identity_check",
-    "inverse",
-    "inverse_fourier",
-    "irrep_by_id",
-    "irreps_of",
-    "kl_term",
-    "load_checkpoint",
-    "load_dataset",
-    "m_factor",
-    "main_bound",
-    "margins",
-    "materialize",
-    "mc_perturbation_check",
-    "mc_tail_check",
-    "multiplicities",
-    "perturbation_rhs",
-    "posterior_sigma",
-    "randomize_labels",
-    "regular_matrices",
-    "regular_representation",
-    "rep_from_json",
-    "rep_invariants_check",
-    "rep_to_json",
-    "report_to_csv_row",
-    "report_to_json",
-    "restricted_frequency_rep",
-    "sample",
-    "save_checkpoint",
-    "save_dataset",
-    "spectral_norm",
-    "stack_rep",
-    "tail_threshold",
-    "train",
-    "trivial_stack",
-    "xi",
-]

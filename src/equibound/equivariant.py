@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -57,7 +58,6 @@ __all__ = [
     "empirical_margin_loss",
     "load_checkpoint",
     "margins",
-    "materialize",
     "save_checkpoint",
     "train",
 ]
@@ -243,11 +243,6 @@ class EquivariantLayer:
             f"EquivariantLayer({self.in_rep.dim}->{self.out_rep.dim}, "
             f"params={self.param_count})"
         )
-
-
-def materialize(layer: EquivariantLayer) -> np.ndarray:
-    """Return the dense layer matrix, rebuilding the cache if needed."""
-    return layer.matrix
 
 
 class EquivariantNetwork:
@@ -560,46 +555,56 @@ def train(
     raise MarginNotReached(cfg.max_epochs, result.margin_accuracy)
 
 
+CHECKPOINT_SCHEMA = 2
+
+
 def save_checkpoint(path: str, net: EquivariantNetwork, metadata: dict) -> None:
     """Write the network and training metadata as JSON.
 
-    Coefficients are keyed "irrep_id/j/i" (output copy j, input copy i)
-    with one float per intertwiner basis element, so the file round-trips
-    the exact float64 values.
+    The file holds the group, the architecture and, per layer, one
+    nested (m_out, m_in, c_psi) list per shared irrep; floats round-trip
+    exactly.  It is written to a temporary file in the same directory and
+    renamed over `path`, so a failed save leaves any previous file intact.
     """
-    layers_json = []
-    for layer in net.layers:
-        coeffs = {}
-        for b in layer.shared:
-            arr = layer.coefficients[b.irrep_id]
-            for j in range(b.m_out):
-                for i in range(b.m_in):
-                    coeffs[f"{b.irrep_id}/{j}/{i}"] = arr[j, i].tolist()
-        layers_json.append(
-            {
-                "in_rep": rep_to_json(layer.in_rep),
-                "out_rep": rep_to_json(layer.out_rep),
-                "coefficients": coeffs,
-            }
-        )
     data = {
+        "schema_version": CHECKPOINT_SCHEMA,
         "group": group_to_json(net.group),
         "architecture": {
             "input_rep": rep_to_json(net.input_rep),
             "hidden_channels": list(net.hidden_channels),
             "n_classes": net.n_classes,
         },
-        "layers": layers_json,
+        "layers": [
+            {pid: arr.tolist() for pid, arr in layer.coefficients.items()}
+            for layer in net.layers
+        ],
         "metadata": metadata,
     }
-    with open(path, "w") as f:
-        json.dump(data, f)
+    text = json.dumps(data)
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "w") as f:
+            f.write(text)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
 
 
 def load_checkpoint(path: str) -> tuple[EquivariantNetwork, dict]:
-    """Rebuild a checkpointed network with bit-identical forward outputs."""
+    """Rebuild a checkpointed network with bit-identical forward outputs.
+
+    Raises ValueError for a file of another schema version, or whose
+    layers do not match the architecture it records.
+    """
     with open(path) as f:
         data = json.load(f)
+    version = data.get("schema_version") if isinstance(data, dict) else None
+    if version != CHECKPOINT_SCHEMA:
+        raise ValueError(
+            f"{path}: checkpoint schema_version {version!r} is not supported "
+            f"(expected {CHECKPOINT_SCHEMA})"
+        )
     G = group_from_json(data["group"])
     arch = data["architecture"]
     input_rep = rep_from_json(G, arch["input_rep"])
@@ -611,14 +616,15 @@ def load_checkpoint(path: str) -> tuple[EquivariantNetwork, dict]:
         seed=0,
     )
     if len(data["layers"]) != len(net.layers):
-        raise ValueError("layer count mismatch in checkpoint")
-    for layer, entry in zip(net.layers, data["layers"]):
-        fresh = {
-            b.irrep_id: np.zeros((b.m_out, b.m_in, b.basis.shape[0]))
-            for b in layer.shared
-        }
-        for key, vals in entry["coefficients"].items():
-            pid, j, i = key.rsplit("/", 2)
-            fresh[pid][int(j), int(i)] = np.asarray(vals, dtype=np.float64)
-        layer.set_coefficients(fresh)
+        raise ValueError(
+            f"{path}: {len(data['layers'])} layers in checkpoint, "
+            f"the architecture has {len(net.layers)}"
+        )
+    for l, (layer, entry) in enumerate(zip(net.layers, data["layers"])):
+        if set(entry) != set(layer.coefficients):
+            raise ValueError(
+                f"{path}: layer {l} holds irreps {sorted(entry)}, "
+                f"expected {sorted(layer.coefficients)}"
+            )
+        layer.set_coefficients(entry)
     return net, data["metadata"]

@@ -21,7 +21,6 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .groups import FiniteGroup, build_group
-from .kernels import fill_circulant
 
 __all__ = [
     "Irrep",
@@ -545,7 +544,7 @@ def group_circulant(G: FiniteGroup, w: np.ndarray) -> np.ndarray:
     w = np.ascontiguousarray(w, dtype=np.float64)
     if w.shape != (G.order,):
         raise ValueError(f"expected filter of length {G.order}, got shape {w.shape}")
-    return fill_circulant(_circulant_index(G.kind, G.N), w)
+    return w[_circulant_index(G.kind, G.N)]
 
 
 def restricted_frequency_rep(G: FiniteGroup, f: int, reflected: bool) -> RepSpec:

@@ -1,32 +1,24 @@
-"""Hot numeric kernels with a numba fast path and a pure-numpy fallback.
+"""The two coefficient kernels: expand to superblocks, project gradients back.
 
-The numpy implementations are the reference; the numba variants are
-loop-level translations of the same arithmetic.  Set EQUIBOUND_NO_NUMBA=1
-to force the numpy path (useful for debugging and for benchmarking, see
-benchmarks/numba_vs_numpy.py).  Large dense matmuls are deliberately left
-to numpy/BLAS and do not live here.
+Large dense matmuls are deliberately left to numpy/BLAS and do not live
+here.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
 __all__ = [
     "NUMBA_ENABLED",
     "expand_coefficients",
-    "fill_circulant",
     "project_coefficients",
 ]
 
-
-def fill_circulant_numpy(idx: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Gather w into a group-circulant matrix: out[a, b] = w[idx[a, b]]."""
-    return w[idx]
+# Kept for benchmark environment records; there is no compiled path.
+NUMBA_ENABLED = False
 
 
-def expand_coefficients_numpy(coeffs: np.ndarray, basis: np.ndarray) -> np.ndarray:
+def expand_coefficients(coeffs: np.ndarray, basis: np.ndarray) -> np.ndarray:
     """Expand per-block coefficients into the dense per-irrep superblock.
 
     coeffs has shape (m_out, m_in, c) and basis has shape (c, d, d); the
@@ -39,7 +31,7 @@ def expand_coefficients_numpy(coeffs: np.ndarray, basis: np.ndarray) -> np.ndarr
     return np.ascontiguousarray(blocks.reshape(m_out * d, m_in * d))
 
 
-def project_coefficients_numpy(grad: np.ndarray, basis: np.ndarray) -> np.ndarray:
+def project_coefficients(grad: np.ndarray, basis: np.ndarray) -> np.ndarray:
     """Project a dense superblock gradient back onto the coefficient basis.
 
     grad has shape (m_out*d, m_in*d); the result has shape (m_out, m_in, c)
@@ -50,74 +42,3 @@ def project_coefficients_numpy(grad: np.ndarray, basis: np.ndarray) -> np.ndarra
     m_in = grad.shape[1] // d
     blocks = grad.reshape(m_out, d, m_in, d)
     return np.einsum("jpiq,kpq->jik", blocks, basis, optimize=True)
-
-
-def _fill_circulant_loops(idx, w):
-    n = idx.shape[0]
-    out = np.empty((n, n), dtype=np.float64)
-    for a in range(n):
-        for b in range(n):
-            out[a, b] = w[idx[a, b]]
-    return out
-
-
-def _expand_coefficients_loops(coeffs, basis):
-    m_out, m_in, c = coeffs.shape
-    d = basis.shape[1]
-    out = np.zeros((m_out * d, m_in * d), dtype=np.float64)
-    for j in range(m_out):
-        for i in range(m_in):
-            for k in range(c):
-                w = coeffs[j, i, k]
-                if w == 0.0:
-                    continue
-                for p in range(d):
-                    for q in range(d):
-                        out[j * d + p, i * d + q] += w * basis[k, p, q]
-    return out
-
-
-def _project_coefficients_loops(grad, basis):
-    c, d, _ = basis.shape
-    m_out = grad.shape[0] // d
-    m_in = grad.shape[1] // d
-    out = np.zeros((m_out, m_in, c), dtype=np.float64)
-    for j in range(m_out):
-        for i in range(m_in):
-            for k in range(c):
-                acc = 0.0
-                for p in range(d):
-                    for q in range(d):
-                        acc += grad[j * d + p, i * d + q] * basis[k, p, q]
-                out[j, i, k] = acc
-    return out
-
-
-def _numba_disabled() -> bool:
-    return os.environ.get("EQUIBOUND_NO_NUMBA", "").strip().lower() in (
-        "1",
-        "true",
-        "yes",
-    )
-
-
-NUMBA_ENABLED = False
-if not _numba_disabled():
-    try:
-        from numba import njit
-    except ImportError:
-        njit = None
-    if njit is not None:
-        fill_circulant_numba = njit(cache=True)(_fill_circulant_loops)
-        expand_coefficients_numba = njit(cache=True)(_expand_coefficients_loops)
-        project_coefficients_numba = njit(cache=True)(_project_coefficients_loops)
-        NUMBA_ENABLED = True
-
-if NUMBA_ENABLED:
-    fill_circulant = fill_circulant_numba
-    expand_coefficients = expand_coefficients_numba
-    project_coefficients = project_coefficients_numba
-else:
-    fill_circulant = fill_circulant_numpy
-    expand_coefficients = expand_coefficients_numpy
-    project_coefficients = project_coefficients_numpy

@@ -8,7 +8,8 @@ import pytest
 from equibound.cli import SweepConfig, _derive_seed, _parse_group, main, run_sweep
 from equibound.bounds import csv_header
 from equibound.datasets import load_dataset
-from equibound.equivariant import TrainingDiverged
+from equibound.equivariant import TrainingDiverged, load_checkpoint
+from equibound.irreps import rep_to_json
 
 
 # ------------------------------------------------------------ small pieces
@@ -164,6 +165,32 @@ def test_bound_missing_file_exit_2(tmp_path):
         ]
     )
     assert rc == 2
+
+
+def test_bound_old_checkpoint_layout_exit_2(pipeline, tmp_path, capsys):
+    """A file in the layout before schema_version 2 is refused, not misread."""
+    net, metadata = load_checkpoint(pipeline["model"])
+    with open(pipeline["model"]) as f:
+        data = json.load(f)
+    del data["schema_version"]
+    data["layers"] = [
+        {
+            "in_rep": rep_to_json(layer.in_rep),
+            "out_rep": rep_to_json(layer.out_rep),
+            "coefficients": {
+                f"{pid}/{j}/{i}": arr[j, i].tolist()
+                for pid, arr in layer.coefficients.items()
+                for j in range(arr.shape[0])
+                for i in range(arr.shape[1])
+            },
+        }
+        for layer in net.layers
+    ]
+    old = tmp_path / "old.json"
+    old.write_text(json.dumps(data))
+    rc = main(["bound", "--model", str(old), "--data", pipeline["train"]])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_train_margin_miss_exit_3(pipeline):

@@ -1,8 +1,11 @@
 """Layer/network equivariance, gradients, training, and checkpoints."""
 
+import json
+
 import numpy as np
 import pytest
 
+from equibound import equivariant
 from equibound.equivariant import (
     EquivariantLayer,
     MarginNotReached,
@@ -13,7 +16,6 @@ from equibound.equivariant import (
     empirical_margin_loss,
     load_checkpoint,
     margins,
-    materialize,
     save_checkpoint,
     train,
 )
@@ -110,7 +112,7 @@ def test_materialize_regular_to_regular_is_group_circulant():
     layer.set_coefficients(
         {pid: rng.standard_normal(co.shape) for pid, co in layer.coefficients.items()}
     )
-    W = materialize(layer)
+    W = layer.matrix
     w = W[0, :]
     np.testing.assert_allclose(W, group_circulant(G, w), atol=1e-10)
 
@@ -130,7 +132,7 @@ def test_filter_fourier_matches_layer_coefficients():
     layer.set_coefficients(
         {pid: rng.standard_normal(co.shape) for pid, co in layer.coefficients.items()}
     )
-    w = materialize(layer)[:, 0]
+    w = layer.matrix[:, 0]
     f = fourier_transform(G, w)
     # trivial and sign blocks are scalars and must match exactly
     assert abs(f["triv"][0, 0] - layer.coefficients["triv"][0, 0, 0]) < 1e-10
@@ -400,6 +402,7 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
     for l1, l2 in zip(net.layers, net2.layers):
         for pid in l1.coefficients:
             np.testing.assert_array_equal(l1.coefficients[pid], l2.coefficients[pid])
+    _assert_one_array_per_shared_irrep(path, net)
 
 
 def test_checkpoint_quaternion_roundtrip(tmp_path):
@@ -409,3 +412,90 @@ def test_checkpoint_quaternion_roundtrip(tmp_path):
     net2, _ = load_checkpoint(str(path))
     X = np.random.default_rng(8).standard_normal((4, 8))
     np.testing.assert_array_equal(net.forward(X), net2.forward(X))
+    _assert_one_array_per_shared_irrep(path, net)
+
+
+def _assert_one_array_per_shared_irrep(path, net):
+    """The file holds coefficients only: no reps, one array per shared irrep."""
+    data = json.loads(path.read_text())
+    assert set(data) == {"schema_version", "group", "architecture", "layers", "metadata"}
+    assert data["schema_version"] == 2
+    for layer, entry in zip(net.layers, data["layers"], strict=True):
+        assert "in_rep" not in entry and "out_rep" not in entry
+        assert list(entry) == [b.irrep_id for b in layer.shared]
+        for pid, arr in layer.coefficients.items():
+            assert np.asarray(entry[pid]).shape == arr.shape
+
+
+def _saved_checkpoint(tmp_path):
+    G, net = _small_net("cyclic", 4, channels=(2,), seed=3)
+    path = tmp_path / "model.json"
+    save_checkpoint(str(path), net, {"gamma": 0.5})
+    return path, json.loads(path.read_text())
+
+
+def _load_edited(path, data):
+    path.write_text(json.dumps(data))
+    return load_checkpoint(str(path))
+
+
+@pytest.mark.parametrize("version", [None, 1, 3, "2"])
+def test_load_rejects_unknown_schema_version(tmp_path, version):
+    path, data = _saved_checkpoint(tmp_path)
+    if version is None:
+        del data["schema_version"]
+    else:
+        data["schema_version"] = version
+    with pytest.raises(ValueError, match="schema_version"):
+        _load_edited(path, data)
+
+
+@pytest.mark.parametrize("change", [-1, 1])
+def test_load_rejects_layer_count_mismatch(tmp_path, change):
+    path, data = _saved_checkpoint(tmp_path)
+    data["layers"] = data["layers"][:-1] if change < 0 else data["layers"] + data["layers"][-1:]
+    with pytest.raises(ValueError, match="layers"):
+        _load_edited(path, data)
+
+
+@pytest.mark.parametrize("edit", ["missing", "extra"])
+def test_load_rejects_irrep_set_mismatch(tmp_path, edit):
+    """A missing irrep would otherwise keep build_network's random init."""
+    path, data = _saved_checkpoint(tmp_path)
+    first = data["layers"][0]
+    if edit == "missing":
+        del first[next(iter(first))]
+    else:
+        first["nope"] = [[[0.0]]]
+    with pytest.raises(ValueError, match="layer 0 holds irreps"):
+        _load_edited(path, data)
+
+
+def test_load_rejects_wrong_shape(tmp_path):
+    path, data = _saved_checkpoint(tmp_path)
+    first = data["layers"][0]
+    pid = next(iter(first))
+    first[pid] = first[pid][:-1] if len(first[pid]) > 1 else first[pid] * 2
+    with pytest.raises(ValueError, match="shape"):
+        _load_edited(path, data)
+
+
+def test_failed_save_keeps_previous_file(tmp_path, monkeypatch):
+    path, _ = _saved_checkpoint(tmp_path)
+    before = path.read_bytes()
+    G, net = _small_net("cyclic", 4, channels=(2,), seed=4)
+    with pytest.raises(TypeError):
+        save_checkpoint(str(path), net, {"bad": object()})
+    assert path.read_bytes() == before
+
+    def interrupted(src, dst):
+        raise OSError("interrupted before the rename")
+
+    monkeypatch.setattr(equivariant.os, "replace", interrupted)
+    with pytest.raises(OSError, match="interrupted"):
+        save_checkpoint(str(path), net, {})
+    monkeypatch.undo()
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]
+    net2, metadata = load_checkpoint(str(path))
+    assert metadata == {"gamma": 0.5}

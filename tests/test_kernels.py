@@ -1,9 +1,4 @@
-"""Agreement between the numpy kernels and their loop/numba twins."""
-
-import os
-import subprocess
-import sys
-from pathlib import Path
+"""The coefficient kernels: block structure, adjointness and reference sums."""
 
 import numpy as np
 import pytest
@@ -17,22 +12,11 @@ def _random_case(rng, m_out, m_in, c, d):
     return coeffs, basis
 
 
-def test_fill_circulant_matches_reference():
-    rng = np.random.default_rng(0)
-    for n in (1, 4, 9):
-        idx = np.ascontiguousarray(rng.integers(0, n, size=(n, n)))
-        w = rng.standard_normal(n)
-        expected = np.array([[w[idx[a, b]] for b in range(n)] for a in range(n)])
-        np.testing.assert_array_equal(kernels.fill_circulant_numpy(idx, w), expected)
-        np.testing.assert_array_equal(kernels.fill_circulant(idx, w), expected)
-        np.testing.assert_array_equal(kernels._fill_circulant_loops(idx, w), expected)
-
-
 @pytest.mark.parametrize("m_out,m_in,c,d", [(1, 1, 1, 1), (3, 2, 2, 2), (4, 5, 4, 4)])
 def test_expand_coefficients_block_structure(m_out, m_in, c, d):
     rng = np.random.default_rng(1)
     coeffs, basis = _random_case(rng, m_out, m_in, c, d)
-    out = kernels.expand_coefficients_numpy(coeffs, basis)
+    out = kernels.expand_coefficients(coeffs, basis)
     assert out.shape == (m_out * d, m_in * d)
     for j in range(m_out):
         for i in range(m_in):
@@ -48,8 +32,8 @@ def test_expand_project_adjoint(m_out, m_in, c, d):
     rng = np.random.default_rng(2)
     coeffs, basis = _random_case(rng, m_out, m_in, c, d)
     grad = rng.standard_normal((m_out * d, m_in * d))
-    lhs = float(np.sum(kernels.expand_coefficients_numpy(coeffs, basis) * grad))
-    rhs = float(np.sum(coeffs * kernels.project_coefficients_numpy(grad, basis)))
+    lhs = float(np.sum(kernels.expand_coefficients(coeffs, basis) * grad))
+    rhs = float(np.sum(coeffs * kernels.project_coefficients(grad, basis)))
     assert abs(lhs - rhs) < 1e-10 * max(1.0, abs(lhs))
 
 
@@ -66,59 +50,29 @@ def test_project_recovers_coefficients_for_orthonormal_basis():
     q, _ = np.linalg.qr(raw.T)
     basis = np.ascontiguousarray(q.T[:c].reshape(c, d, d))
     coeffs = rng.standard_normal((4, 5, c))
-    out = kernels.project_coefficients_numpy(
-        kernels.expand_coefficients_numpy(coeffs, basis), basis
+    out = kernels.project_coefficients(
+        kernels.expand_coefficients(coeffs, basis), basis
     )
     np.testing.assert_allclose(out, coeffs, atol=1e-12)
 
 
 @pytest.mark.parametrize("m_out,m_in,c,d", [(1, 1, 1, 1), (3, 2, 2, 2), (2, 4, 4, 4)])
-def test_numba_and_numpy_paths_agree(m_out, m_in, c, d):
+def test_kernels_match_per_block_sums(m_out, m_in, c, d):
+    """Both kernels against explicit sums over each (j, i) block."""
     rng = np.random.default_rng(4)
     coeffs, basis = _random_case(rng, m_out, m_in, c, d)
     grad = rng.standard_normal((m_out * d, m_in * d))
-    expanded = kernels.expand_coefficients_numpy(coeffs, basis)
-    projected = kernels.project_coefficients_numpy(grad, basis)
+    expanded = np.zeros((m_out * d, m_in * d))
+    projected = np.zeros((m_out, m_in, c))
+    for j in range(m_out):
+        for i in range(m_in):
+            rows, cols = slice(j * d, (j + 1) * d), slice(i * d, (i + 1) * d)
+            for k in range(c):
+                expanded[rows, cols] += coeffs[j, i, k] * basis[k]
+                projected[j, i, k] = np.sum(grad[rows, cols] * basis[k])
     np.testing.assert_allclose(
         kernels.expand_coefficients(coeffs, basis), expanded, atol=1e-13
     )
     np.testing.assert_allclose(
         kernels.project_coefficients(grad, basis), projected, atol=1e-13
     )
-    # The loop twins are what njit compiles; without numba the dispatched
-    # names are the numpy kernels themselves, so check the loops directly.
-    np.testing.assert_allclose(
-        kernels._expand_coefficients_loops(coeffs, basis), expanded, atol=1e-13
-    )
-    np.testing.assert_allclose(
-        kernels._project_coefficients_loops(grad, basis), projected, atol=1e-13
-    )
-
-
-def test_numba_flag_reflects_environment():
-    disabled = os.environ.get("EQUIBOUND_NO_NUMBA", "").strip().lower() in ("1", "true", "yes")
-    try:
-        from numba import njit  # noqa: F401
-    except ImportError:
-        numba_importable = False
-    else:
-        numba_importable = True
-    assert kernels.NUMBA_ENABLED == (numba_importable and not disabled)
-    suffix = "_numba" if kernels.NUMBA_ENABLED else "_numpy"
-    for name in ("fill_circulant", "expand_coefficients", "project_coefficients"):
-        assert getattr(kernels, name) is getattr(kernels, name + suffix)
-
-    # The opt-out branch, checked in a fresh interpreter on every run.
-    src = Path(kernels.__file__).resolve().parents[1]
-    pythonpath = os.pathsep.join(
-        p for p in (str(src), os.environ.get("PYTHONPATH", "")) if p
-    )
-    env = {**os.environ, "EQUIBOUND_NO_NUMBA": "1", "PYTHONPATH": pythonpath}
-    probe = (
-        "from equibound import kernels as k; "
-        "print(k.NUMBA_ENABLED, k.expand_coefficients is k.expand_coefficients_numpy)"
-    )
-    out = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
-    )
-    assert out.stdout.split() == ["False", "True"]
