@@ -19,14 +19,14 @@ are always computed and reported side by side.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from functools import cache, cached_property
 
 import numpy as np
 from scipy.special import gammaln, logsumexp
 
 from .equivariant import EquivariantNetwork
-from .irreps import irreps_of
+from .irreps import irreps_of, multiplicities
 
 __all__ = [
     "BoundInputs",
@@ -95,10 +95,6 @@ def fourier_frobenius_sum(layer) -> float:
     return layer.coefficient_sq_sum()
 
 
-def _rep_mults(rep) -> dict[str, int]:
-    return {pid: mult for pid, mult in rep.blocks}
-
-
 def m_factor(net: EquivariantNetwork, l: int, eta: float) -> float:
     """Multiplicity factor M(l, eta) for layer l (1-based).
 
@@ -111,8 +107,8 @@ def m_factor(net: EquivariantNetwork, l: int, eta: float) -> float:
         raise ValueError(f"layer index {l} out of range")
     reps = net.reps
     total = sum(mult for rep in reps[1:] for _, mult in rep.blocks)
-    mults_in = _rep_mults(reps[l - 1])
-    mults_out = _rep_mults(reps[l])
+    mults_in = multiplicities(reps[l - 1])
+    mults_out = multiplicities(reps[l])
     worst = 0.0
     for psi in irreps_of(net.group):
         m_in = mults_in.get(psi.id, 0)
@@ -240,8 +236,8 @@ def tail_threshold(in_rep, out_rep, sigma: float, t: float) -> TailBounds:
     """
     if sigma <= 0 or t <= 0:
         raise ValueError("sigma and t must be positive")
-    mults_in = _rep_mults(in_rep)
-    mults_out = _rep_mults(out_rep)
+    mults_in = multiplicities(in_rep)
+    mults_out = multiplicities(out_rep)
     worst = 0.0
     worst_tight = 0.0
     mult_total = 0
@@ -306,11 +302,17 @@ class BoundInputs:
 
 @dataclass
 class BoundReport:
-    """One row of results: data facts, per-layer norms, and all bounds."""
+    """One row of results: data facts, per-layer norms, and all bounds.
+
+    The field order is the column order of the CSV row and the JSON
+    report.  A field named in the output other than by its attribute
+    carries its name as `column` metadata; a per-layer tuple carries the
+    CSV prefix of its columns `<prefix>_1 .. <prefix>_L` as `per_layer`.
+    """
 
     group_kind: str
     N: int
-    order: int
+    order: int = field(metadata={"column": "H_order"})
     m: int
     gamma: float
     eta: float
@@ -319,11 +321,11 @@ class BoundReport:
     train_err: float
     train_margin_loss: float
     test_err: float
-    generalization_error: float
-    spectral_norms: tuple[float, ...]
-    frobenius_norms: tuple[float, ...]
-    fourier_frobenius_sums: tuple[float, ...]
-    m_factors: tuple[float, ...]
+    generalization_error: float = field(metadata={"column": "GE"})
+    spectral_norms: tuple[float, ...] = field(metadata={"per_layer": "spec"})
+    frobenius_norms: tuple[float, ...] = field(metadata={"per_layer": "fro"})
+    fourier_frobenius_sums: tuple[float, ...] = field(metadata={"per_layer": "S"})
+    m_factors: tuple[float, ...] = field(metadata={"per_layer": "M"})
     xi_m: float
     sigma0: float
     kl: float
@@ -416,14 +418,14 @@ def _channel_counts(net: EquivariantNetwork) -> list[int]:
     G = net.group
     reps = net.reps
     counts = []
-    mults0 = _rep_mults(reps[0])
+    mults0 = multiplicities(reps[0])
     c0 = max(
         math.ceil(mults0.get(psi.id, 0) * psi.type_c / psi.dim)
         for psi in irreps_of(G)
     )
     counts.append(max(c0, 1))
     for rep in reps[1:-1]:
-        mults = _rep_mults(rep)
+        mults = multiplicities(rep)
         c = mults.get("triv", 0)
         for psi in irreps_of(G):
             if mults.get(psi.id, 0) * psi.type_c != c * psi.dim:
@@ -517,107 +519,38 @@ def compute_report(inputs: BoundInputs) -> BoundReport:
 
 def csv_header(depth: int) -> list[str]:
     """Column names for a report with `depth` layers."""
-    cols = [
-        "group_kind",
-        "N",
-        "H_order",
-        "m",
-        "gamma",
-        "eta",
-        "delta",
-        "B",
-        "train_err",
-        "train_margin_loss",
-        "test_err",
-        "GE",
-    ]
-    for name in ("spec", "fro", "S", "M"):
-        cols.extend(f"{name}_{l}" for l in range(1, depth + 1))
-    cols.extend(
-        [
-            "xi_m",
-            "sigma0",
-            "kl",
-            "bound_main",
-            "bound_main_as_written",
-            "bound_groupconv",
-            "bound_alt",
-            "D_H",
-            "E_H",
-            "Q_H",
-        ]
-    )
+    cols = []
+    for f in fields(BoundReport):
+        prefix = f.metadata.get("per_layer")
+        if prefix is None:
+            cols.append(f.metadata.get("column", f.name))
+        else:
+            cols.extend(f"{prefix}_{l}" for l in range(1, depth + 1))
     return cols
 
 
 def report_to_csv_row(report: BoundReport) -> list[str]:
-    """Stringify one report in csv_header order (repr for floats)."""
-    values = [
-        report.group_kind,
-        str(report.N),
-        str(report.order),
-        str(report.m),
-        repr(float(report.gamma)),
-        repr(float(report.eta)),
-        repr(float(report.delta)),
-        repr(float(report.B)),
-        repr(float(report.train_err)),
-        repr(float(report.train_margin_loss)),
-        repr(float(report.test_err)),
-        repr(float(report.generalization_error)),
-    ]
-    for tup in (
-        report.spectral_norms,
-        report.frobenius_norms,
-        report.fourier_frobenius_sums,
-        report.m_factors,
-    ):
-        values.extend(repr(float(v)) for v in tup)
-    values.extend(
-        repr(float(v))
-        for v in (
-            report.xi_m,
-            report.sigma0,
-            report.kl,
-            report.bound_main,
-            report.bound_main_as_written,
-            report.bound_groupconv,
-            report.bound_alt,
-            report.D_H,
-            report.E_H,
-            report.Q_H,
-        )
-    )
+    """Stringify one report in csv_header order.
+
+    `str` and `int` fields print with str, every other value with
+    repr(float(v)), which round-trips exactly (an int gamma prints 10.0).
+    """
+    values = []
+    for f in fields(BoundReport):
+        v = getattr(report, f.name)
+        if "per_layer" in f.metadata:
+            values.extend(repr(float(x)) for x in v)
+        elif f.type in ("str", "int"):  # annotations are strings (PEP 563)
+            values.append(str(v))
+        else:
+            values.append(repr(float(v)))
     return values
 
 
 def report_to_json(report: BoundReport) -> dict:
-    """Report as a JSON-ready dict."""
-    return {
-        "group_kind": report.group_kind,
-        "N": report.N,
-        "H_order": report.order,
-        "m": report.m,
-        "gamma": report.gamma,
-        "eta": report.eta,
-        "delta": report.delta,
-        "B": report.B,
-        "train_err": report.train_err,
-        "train_margin_loss": report.train_margin_loss,
-        "test_err": report.test_err,
-        "GE": report.generalization_error,
-        "spectral_norms": list(report.spectral_norms),
-        "frobenius_norms": list(report.frobenius_norms),
-        "fourier_frobenius_sums": list(report.fourier_frobenius_sums),
-        "m_factors": list(report.m_factors),
-        "xi_m": report.xi_m,
-        "sigma0": report.sigma0,
-        "kl": report.kl,
-        "bound_main": report.bound_main,
-        "bound_main_as_written": report.bound_main_as_written,
-        "bound_groupconv": report.bound_groupconv,
-        "bound_alt": report.bound_alt,
-        "D_H": report.D_H,
-        "E_H": report.E_H,
-        "Q_H": report.Q_H,
-    }
+    """Report as a JSON-ready dict; per-layer tuples become lists."""
+    data = {}
+    for f in fields(BoundReport):
+        v = getattr(report, f.name)
+        data[f.metadata.get("column", f.name)] = list(v) if "per_layer" in f.metadata else v
+    return data

@@ -22,8 +22,10 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import io
 import json
 import math
+import os
 import sys
 from dataclasses import asdict, dataclass, field
 
@@ -57,8 +59,9 @@ from .equivariant import (
     load_checkpoint,
     save_checkpoint,
     train,
+    write_atomic,
 )
-from .groups import GROUP_KINDS, build_group
+from .groups import build_group
 from .irreps import irrep_by_id, irreps_of, regular_representation, restricted_frequency_rep
 from .verify import (
     character_type_oracle,
@@ -124,12 +127,20 @@ def _cmd_gen_data(args: argparse.Namespace) -> int:
 # ------------------------------------------------------------------- train
 
 
+def _build_net(spec, group: tuple[str, int], widths: list[int], seed: int):
+    """The network one cell trains: regular hidden stacks of `group`.
+
+    Returns the net and its hidden channel counts.
+    """
+    G = build_group(*group)
+    input_rep = input_rep_for(spec, G)
+    channels = [channels_for_width(G, w) for w in widths]
+    return build_network(G, input_rep, channels, 2, seed=seed), channels
+
+
 def _cmd_train(args: argparse.Namespace) -> int:
     spec, train_set = load_dataset(args.data)
-    G = build_group(args.group, args.n)
-    input_rep = input_rep_for(spec, G)
-    channels = [channels_for_width(G, w) for w in args.widths]
-    net = build_network(G, input_rep, channels, 2, seed=args.seed)
+    net, channels = _build_net(spec, _parse_group(args.group), args.widths, args.seed)
     cfg = TrainConfig(
         gamma=args.gamma,
         max_epochs=args.epochs,
@@ -165,43 +176,56 @@ def _cmd_train(args: argparse.Namespace) -> int:
 # ------------------------------------------------------------------- bound
 
 
+def _bound_report(net, train_set, test_set, gamma: float, eta: float, delta: float):
+    """Margin losses of a trained net, then its BoundReport.
+
+    `test_set` may be None, which leaves the test error NaN.
+    """
+    train_err = empirical_margin_loss(net, train_set.X, train_set.y, 0.0)
+    margin_loss = empirical_margin_loss(net, train_set.X, train_set.y, gamma)
+    test_err = float("nan")
+    if test_set is not None:
+        test_err = empirical_margin_loss(net, test_set.X, test_set.y, 0.0)
+    return compute_report(
+        BoundInputs(
+            net=net,
+            m=len(train_set),
+            gamma=gamma,
+            B=train_set.B,
+            train_margin_loss=margin_loss,
+            delta=delta,
+            eta=eta,
+            train_err=train_err,
+            test_err=test_err,
+        )
+    )
+
+
+def _write_csv(path: str, header: list[str], rows: list[list[str]]) -> None:
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(rows)
+    write_atomic(path, buf.getvalue())
+
+
 def _cmd_bound(args: argparse.Namespace) -> int:
     net, metadata = load_checkpoint(args.model)
     spec, train_set = load_dataset(args.data)
     gamma = args.gamma if args.gamma is not None else metadata.get("gamma")
     if gamma is None:
         raise ValueError("no gamma given and none recorded in the checkpoint")
-    train_err = empirical_margin_loss(net, train_set.X, train_set.y, 0.0)
-    margin_loss = empirical_margin_loss(net, train_set.X, train_set.y, gamma)
-    test_err = float("nan")
-    if args.test_data:
-        _, test_set = load_dataset(args.test_data)
-        test_err = empirical_margin_loss(net, test_set.X, test_set.y, 0.0)
-    inputs = BoundInputs(
-        net=net,
-        m=len(train_set),
-        gamma=float(gamma),
-        B=train_set.B,
-        train_margin_loss=margin_loss,
-        delta=args.delta,
-        eta=args.eta,
-        train_err=train_err,
-        test_err=test_err,
-    )
-    report = compute_report(inputs)
+    test_set = load_dataset(args.test_data)[1] if args.test_data else None
+    report = _bound_report(net, train_set, test_set, float(gamma), args.eta, args.delta)
     headline = report.bound_main_as_written if args.as_written else report.bound_main
     label = "bound_main_as_written" if args.as_written else "bound_main"
-    print(f"train_err={train_err:.4f} test_err={test_err:.4f}")
+    print(f"train_err={report.train_err:.4f} test_err={report.test_err:.4f}")
     print(f"{label}={headline:.6g} groupconv={report.bound_groupconv:.6g} alt={report.bound_alt:.6g}")
     if args.csv:
-        with open(args.csv, "w", newline="") as f:
-            writer = csv.writer(f)
-            writer.writerow(csv_header(net.depth))
-            writer.writerow(report_to_csv_row(report))
+        _write_csv(args.csv, csv_header(net.depth), [report_to_csv_row(report)])
         print(f"wrote {args.csv}")
     if args.json:
-        with open(args.json, "w") as f:
-            json.dump(report_to_json(report), f, indent=2)
+        write_atomic(args.json, json.dumps(report_to_json(report), indent=2))
         print(f"wrote {args.json}")
     return 0
 
@@ -402,6 +426,8 @@ def _parse_group(text: str) -> tuple[str, int]:
     """Parse "cyclic:8" / "dihedral:3" / "quaternion" into (kind, N)."""
     if ":" in text:
         kind, n = text.split(":", 1)
+        if not n.isdigit():
+            raise ValueError(f"group {text!r}: expected kind:N with an integer N")
         return kind, int(n)
     return text, 8 if text == "quaternion" else 1
 
@@ -424,16 +450,25 @@ def _sweep_datasets(cfg: SweepConfig, size: int, m: int, seed: int):
     return spec, train_set, test_set
 
 
+def _csv_cell(value) -> str:
+    """A sweep row's leading column: str for str and int, exact repr for floats."""
+    return str(value) if isinstance(value, (str, int)) else repr(float(value))
+
+
 def run_sweep(cfg: SweepConfig) -> dict:
     """Train and bound every grid cell; write rows.csv and summary.json.
 
     Returns {"rows": ..., "csv_path": ..., "summary_path": ..., "summary": ...}.
-    MarginNotReached cells are recorded with margin_reached=0 rather
-    than dropped.  TrainingDiverged is not caught: it ends the sweep
-    before rows.csv is written.
+    Each row is a dict whose keys other than "report" are, in order, the
+    CSV's leading columns.  MarginNotReached cells are recorded with
+    margin_reached=0 rather than dropped.  TrainingDiverged is not
+    caught: it ends the sweep before rows.csv is written.  Both files
+    are written atomically.
     """
-    import os
-
+    if not (cfg.sizes and cfg.m_grid and cfg.seeds and cfg.groups):
+        raise ValueError(
+            "sweep grid is empty: sizes, m_grid, seeds and groups each need a value"
+        )
     os.makedirs(cfg.out_dir, exist_ok=True)
     chash = cfg.config_hash()
     rows = []
@@ -446,12 +481,8 @@ def run_sweep(cfg: SweepConfig) -> dict:
                     dataset_cache[key] = _sweep_datasets(cfg, size, m, seed)
                 spec, train_set, test_set = dataset_cache[key]
                 for kind, N in cfg.groups:
-                    G = build_group(kind, N)
-                    input_rep = input_rep_for(spec, G)
-                    channels = [channels_for_width(G, w) for w in cfg.widths]
-                    net = build_network(
-                        G, input_rep, channels, 2,
-                        seed=_derive_seed(seed, f"model:{kind}:{N}"),
+                    net, channels = _build_net(
+                        spec, (kind, N), cfg.widths, _derive_seed(seed, f"model:{kind}:{N}")
                     )
                     tcfg = TrainConfig(
                         gamma=cfg.gamma,
@@ -469,23 +500,8 @@ def run_sweep(cfg: SweepConfig) -> dict:
                         reached = False
                         epochs = exc.epochs
                         margin_acc = exc.achieved
-                    train_err = empirical_margin_loss(net, train_set.X, train_set.y, 0.0)
-                    margin_loss = empirical_margin_loss(
-                        net, train_set.X, train_set.y, cfg.gamma
-                    )
-                    test_err = empirical_margin_loss(net, test_set.X, test_set.y, 0.0)
-                    report = compute_report(
-                        BoundInputs(
-                            net=net,
-                            m=len(train_set),
-                            gamma=cfg.gamma,
-                            B=train_set.B,
-                            train_margin_loss=margin_loss,
-                            delta=cfg.delta,
-                            eta=cfg.eta,
-                            train_err=train_err,
-                            test_err=test_err,
-                        )
+                    report = _bound_report(
+                        net, train_set, test_set, cfg.gamma, cfg.eta, cfg.delta
                     )
                     rows.append(
                         {
@@ -512,43 +528,16 @@ def run_sweep(cfg: SweepConfig) -> dict:
             r["seed"],
         )
     )
-    depth = len(cfg.widths) + 1
+    prefix = [k for k in rows[0] if k != "report"]
     csv_path = os.path.join(cfg.out_dir, "rows.csv")
-    prefix = [
-        "config_hash",
-        "symmetry",
-        "size",
-        "widths",
-        "channels",
-        "seed",
-        "epochs",
-        "margin_reached",
-        "margin_accuracy",
-        "random_labels",
-    ]
-    with open(csv_path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(prefix + csv_header(depth))
-        for row in rows:
-            writer.writerow(
-                [
-                    row["config_hash"],
-                    row["symmetry"],
-                    str(row["size"]),
-                    row["widths"],
-                    row["channels"],
-                    str(row["seed"]),
-                    str(row["epochs"]),
-                    str(row["margin_reached"]),
-                    repr(float(row["margin_accuracy"])),
-                    str(row["random_labels"]),
-                ]
-                + report_to_csv_row(row["report"])
-            )
+    _write_csv(
+        csv_path,
+        prefix + csv_header(len(cfg.widths) + 1),
+        [[_csv_cell(row[k]) for k in prefix] + report_to_csv_row(row["report"]) for row in rows],
+    )
     summary = _sweep_summary(rows)
     summary_path = os.path.join(cfg.out_dir, "summary.json")
-    with open(summary_path, "w") as f:
-        json.dump(summary, f, indent=2, sort_keys=True)
+    write_atomic(summary_path, json.dumps(summary, indent=2, sort_keys=True))
     return {
         "rows": rows,
         "csv_path": csv_path,
@@ -653,8 +642,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train an equivariant network")
     p.add_argument("--data", required=True)
-    p.add_argument("--group", required=True, choices=GROUP_KINDS)
-    p.add_argument("--n", type=int, default=1, help="rotation order of the group")
+    p.add_argument("--group", required=True, help="cyclic:N, dihedral:N or quaternion")
     p.add_argument("--widths", type=int, nargs="+", default=[2048, 512])
     p.add_argument("--gamma", type=float, default=10.0)
     p.add_argument("--lr", type=float, default=0.01)

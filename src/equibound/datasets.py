@@ -386,7 +386,12 @@ def save_dataset(path: str, spec: DatasetSpec, samples: SampleSet) -> None:
 
 
 def load_dataset(path: str) -> tuple[DatasetSpec, SampleSet]:
-    """Inverse of save_dataset."""
+    """Inverse of save_dataset.
+
+    Raises ValueError when the samples are inconsistent: per-sample
+    arrays of different lengths, non-finite features, a label outside
+    {0, 1}, or a B below the largest feature norm.
+    """
     with open(path) as f:
         data = json.load(f)
     s = data["spec"]
@@ -406,9 +411,13 @@ def load_dataset(path: str) -> tuple[DatasetSpec, SampleSet]:
     )
     d = data["samples"]
     X = np.asarray(d["X"], dtype=np.float64).reshape(-1, spec.ambient_dim)
+    # Checked before the int64 cast, which would truncate 0.5 to 0.
+    y = np.asarray(d["y"])
+    if not np.all((y == 0) | (y == 1)):
+        raise ValueError(f"{path}: labels must be 0 or 1")
     samples = SampleSet(
         X=X,
-        y=np.asarray(d["y"], dtype=np.int64),
+        y=y.astype(np.int64),
         B=float(d["B"]),
         rep_index=np.asarray(d["rep_index"], dtype=np.int64),
         angle=np.asarray(d["angle"], dtype=np.float64),
@@ -419,4 +428,21 @@ def load_dataset(path: str) -> tuple[DatasetSpec, SampleSet]:
         if d["original_y"] is None
         else np.asarray(d["original_y"], dtype=np.int64),
     )
+    _check_samples(path, samples)
     return spec, samples
+
+
+def _check_samples(path: str, samples: SampleSet) -> None:
+    lengths = {
+        name: len(getattr(samples, name))
+        for name in ("X", "y", "rep_index", "angle", "reflect")
+    }
+    if len(set(lengths.values())) > 1:
+        raise ValueError(f"{path}: per-sample arrays differ in length: {lengths}")
+    if not np.all(np.isfinite(samples.X)):
+        raise ValueError(f"{path}: X has non-finite entries")
+    # B is stored as the largest row norm itself; the slack absorbs a
+    # last-bit difference when the norms are recomputed elsewhere.
+    largest = float(np.max(np.linalg.norm(samples.X, axis=1), initial=0.0))
+    if not largest <= samples.B * (1.0 + 1e-12):
+        raise ValueError(f"{path}: B={samples.B!r} is below the largest row norm {largest!r}")

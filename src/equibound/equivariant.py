@@ -60,6 +60,7 @@ __all__ = [
     "margins",
     "save_checkpoint",
     "train",
+    "write_atomic",
 ]
 
 
@@ -563,8 +564,8 @@ def save_checkpoint(path: str, net: EquivariantNetwork, metadata: dict) -> None:
 
     The file holds the group, the architecture and, per layer, one
     nested (m_out, m_in, c_psi) list per shared irrep; floats round-trip
-    exactly.  It is written to a temporary file in the same directory and
-    renamed over `path`, so a failed save leaves any previous file intact.
+    exactly.  It is written through `write_atomic`, so a failed save
+    leaves any previous file intact.
     """
     data = {
         "schema_version": CHECKPOINT_SCHEMA,
@@ -580,10 +581,20 @@ def save_checkpoint(path: str, net: EquivariantNetwork, metadata: dict) -> None:
         ],
         "metadata": metadata,
     }
-    text = json.dumps(data)
+    write_atomic(path, json.dumps(data))
+
+
+def write_atomic(path: str, text: str) -> None:
+    """Write `text` to `path` through a temporary file and a rename.
+
+    The temporary file sits in the same directory and is renamed over
+    `path` only once it is complete, so a failed write leaves any
+    previous file intact; the temporary file is removed either way.
+    Newlines are written untranslated.
+    """
     tmp = f"{path}.tmp"
     try:
-        with open(tmp, "w") as f:
+        with open(tmp, "w", newline="") as f:
             f.write(text)
         os.replace(tmp, path)
     finally:

@@ -24,6 +24,7 @@ from .irreps import (
     intertwiner_basis,
     inverse_fourier,
     irreps_of,
+    multiplicities,
     regular_matrices,
 )
 
@@ -264,8 +265,8 @@ def mc_tail_check(
     """
     G = in_rep.group
     rng = np.random.default_rng(seed)
-    mults_in = {pid: m for pid, m in in_rep.blocks}
-    mults_out = {pid: m for pid, m in out_rep.blocks}
+    mults_in = multiplicities(in_rep)
+    mults_out = multiplicities(out_rep)
     norms = np.zeros(trials)
     for psi in irreps_of(G):
         m_in = mults_in.get(psi.id, 0)

@@ -8,6 +8,7 @@ import pytest
 
 from equibound.bounds import (
     BoundInputs,
+    BoundReport,
     alternative_bound,
     compute_report,
     csv_header,
@@ -709,3 +710,43 @@ def test_report_json_roundtrip(trained_report):
     assert data["spectral_norms"] == list(report.spectral_norms)
     parsed = json.loads(json.dumps(data))
     assert parsed["bound_alt"] == report.bound_alt
+
+
+def test_report_row_format_is_pinned():
+    """The CSV header, CSV strings and JSON keys of a hand-built report."""
+    assert csv_header(3) == [
+        "group_kind", "N", "H_order", "m", "gamma", "eta", "delta", "B",
+        "train_err", "train_margin_loss", "test_err", "GE",
+        "spec_1", "spec_2", "spec_3", "fro_1", "fro_2", "fro_3",
+        "S_1", "S_2", "S_3", "M_1", "M_2", "M_3",
+        "xi_m", "sigma0", "kl", "bound_main", "bound_main_as_written",
+        "bound_groupconv", "bound_alt", "D_H", "E_H", "Q_H",
+    ]
+    assert csv_header(1)[12:16] == ["spec_1", "fro_1", "S_1", "M_1"]
+    report = BoundReport(
+        group_kind="dihedral", N=4, order=8, m=3200, gamma=10, eta=0.5,
+        delta=0.05, B=1.25, train_err=0.0, train_margin_loss=0.01,
+        test_err=0.125, generalization_error=0.125,
+        spectral_norms=(2.0, 1.5, 0.75), frobenius_norms=(3.0, 2.5, 1.0),
+        fourier_frobenius_sums=(9.0, 6.25, 1.0), m_factors=(1 / 3, 40.0, 5.0),
+        xi_m=1e-300, sigma0=2.5e-05, kl=1e10, bound_main=0.1 + 0.2,
+        bound_main_as_written=7.0,
+    )
+    assert report_to_csv_row(report) == [
+        "dihedral", "4", "8", "3200", "10.0", "0.5", "0.05", "1.25",
+        "0.0", "0.01", "0.125", "0.125",
+        "2.0", "1.5", "0.75", "3.0", "2.5", "1.0",
+        "9.0", "6.25", "1.0", "0.3333333333333333", "40.0", "5.0",
+        "1e-300", "2.5e-05", "10000000000.0", "0.30000000000000004", "7.0",
+        "nan", "nan", "nan", "nan", "nan",
+    ]
+    data = report_to_json(report)
+    assert list(data) == [
+        "group_kind", "N", "H_order", "m", "gamma", "eta", "delta", "B",
+        "train_err", "train_margin_loss", "test_err", "GE",
+        "spectral_norms", "frobenius_norms", "fourier_frobenius_sums", "m_factors",
+        "xi_m", "sigma0", "kl", "bound_main", "bound_main_as_written",
+        "bound_groupconv", "bound_alt", "D_H", "E_H", "Q_H",
+    ]
+    assert data["gamma"] == 10 and data["H_order"] == 8 and data["GE"] == 0.125
+    assert data["m_factors"] == [1 / 3, 40.0, 5.0]

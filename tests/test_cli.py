@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from equibound import cli
 from equibound.cli import SweepConfig, _derive_seed, _parse_group, main, run_sweep
 from equibound.bounds import csv_header
 from equibound.datasets import load_dataset
@@ -20,6 +21,8 @@ def test_parse_group():
     assert _parse_group("dihedral:3") == ("dihedral", 3)
     assert _parse_group("quaternion") == ("quaternion", 8)
     assert _parse_group("cyclic:1") == ("cyclic", 1)
+    with pytest.raises(ValueError, match="kind:N"):
+        _parse_group("cyclic:x")
 
 
 def test_derive_seed_is_stable_and_tag_sensitive():
@@ -66,8 +69,7 @@ def pipeline(tmp_path_factory):
         [
             "train",
             "--data", train_path,
-            "--group", "cyclic",
-            "--n", "4",
+            "--group", "cyclic:4",
             "--widths", "32", "16",
             "--gamma", "1.0",
             "--lr", "0.02",
@@ -193,13 +195,30 @@ def test_bound_old_checkpoint_layout_exit_2(pipeline, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_train_bad_group_exit_2(pipeline, capsys):
+    for group in ("cyclic:x", "cyclic:", "octahedral:4"):
+        rc = main(["train", "--data", pipeline["train"], "--group", group, "--widths", "8"])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_train_malformed_dataset_exit_2(pipeline, tmp_path, capsys):
+    with open(pipeline["train"]) as f:
+        data = json.load(f)
+    data["samples"]["y"][0] = 2
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    rc = main(["train", "--data", str(bad), "--group", "cyclic:4", "--widths", "8"])
+    assert rc == 2
+    assert "labels must be 0 or 1" in capsys.readouterr().err
+
+
 def test_train_margin_miss_exit_3(pipeline):
     rc = main(
         [
             "train",
             "--data", pipeline["train"],
-            "--group", "cyclic",
-            "--n", "4",
+            "--group", "cyclic:4",
             "--widths", "8",
             "--gamma", "1000.0",
             "--epochs", "1",
@@ -214,8 +233,7 @@ def test_train_divergence_exit_4(pipeline, capsys):
         [
             "train",
             "--data", pipeline["train"],
-            "--group", "cyclic",
-            "--n", "4",
+            "--group", "cyclic:4",
             "--widths", "32", "16",
             "--lr", "1e300",
             "--epochs", "800",
@@ -255,6 +273,13 @@ def test_sweep_unknown_config_key_exit_2(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"no_such_field": 1}))
     assert main(["sweep", "--config", str(cfg)]) == 2
+
+
+def test_sweep_empty_grid_exit_2(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"groups": [], "out_dir": str(tmp_path / "out")}))
+    assert main(["sweep", "--config", str(cfg)]) == 2
+    assert not (tmp_path / "out").exists()
 
 
 # ------------------------------------------------------------ random labels
@@ -342,6 +367,26 @@ def test_sweep_reproducible_byte_identical(tmp_path):
     with open(out2["csv_path"], "rb") as f:
         body2 = f.read()
     assert body1 == body2
+
+
+def test_sweep_failed_write_keeps_previous_rows(tmp_path, monkeypatch):
+    """rows.csv is replaced whole or not at all, and no temporary file stays."""
+    cfg = _tiny_sweep_config(tmp_path / "s")
+    run_sweep(cfg)
+    names = ["rows.csv", "summary.json"]
+    before = [(tmp_path / "s" / name).read_bytes() for name in names]
+    assert sorted(p.name for p in (tmp_path / "s").iterdir()) == names
+
+    def interrupted(src, dst):
+        raise OSError("interrupted before the rename")
+
+    cfg.gamma = 0.5
+    monkeypatch.setattr(cli.os, "replace", interrupted)
+    with pytest.raises(OSError, match="interrupted"):
+        run_sweep(cfg)
+    monkeypatch.undo()
+    assert [(tmp_path / "s" / name).read_bytes() for name in names] == before
+    assert sorted(p.name for p in (tmp_path / "s").iterdir()) == names
 
 
 def test_sweep_cli_entry(tmp_path, capsys):

@@ -305,3 +305,53 @@ def test_dataset_json_roundtrip(tmp_path):
     np.testing.assert_array_equal(ds2.original_y, ds.original_y)
     assert ds2.B == ds.B
     assert ds2.augment == ds.augment
+
+
+def _shorten(field):
+    def mutate(data):
+        data["samples"][field] = data["samples"][field][:-1]
+
+    return mutate
+
+
+def _set_first(field, value):
+    def mutate(data):
+        data["samples"][field][0] = value
+
+    return mutate
+
+
+def _shrink_b(data):
+    data["samples"]["B"] *= 0.99
+
+
+@pytest.mark.parametrize(
+    "mutate, message",
+    [
+        (_shorten("y"), "differ in length"),
+        (_shorten("rep_index"), "differ in length"),
+        (_shorten("angle"), "differ in length"),
+        (_shorten("reflect"), "differ in length"),
+        (_set_first("X", float("nan")), "non-finite"),
+        (_set_first("X", float("inf")), "non-finite"),
+        (_set_first("y", 2), "labels must be 0 or 1"),
+        (_set_first("y", -1), "labels must be 0 or 1"),
+        (_set_first("y", 0.5), "labels must be 0 or 1"),
+        (_shrink_b, "below the largest row norm"),
+    ],
+    ids=[
+        "short-y", "short-rep_index", "short-angle", "short-reflect",
+        "nan-X", "inf-X", "label-2", "label-minus-1", "label-half", "small-B",
+    ],
+)
+def test_load_dataset_rejects_malformed_samples(tmp_path, mutate, message):
+    import json
+
+    spec = generate_synthetic("so2", 2, max_frequency=2, seed=31)
+    path = tmp_path / "data.json"
+    save_dataset(str(path), spec, sample(spec, 12, "none", seed=32))
+    data = json.loads(path.read_text())
+    mutate(data)
+    path.write_text(json.dumps(data))
+    with pytest.raises(ValueError, match=message):
+        load_dataset(str(path))
