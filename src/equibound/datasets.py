@@ -28,6 +28,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .equivariant import write_atomic
 from .groups import FiniteGroup
 from .irreps import RepSpec, direct_sum, restricted_frequency_rep
 
@@ -354,7 +355,11 @@ def input_rep_for(spec: DatasetSpec, G: FiniteGroup) -> RepSpec:
 
 
 def save_dataset(path: str, spec: DatasetSpec, samples: SampleSet) -> None:
-    """Write spec and samples as one JSON file (floats round-trip exactly)."""
+    """Write spec and samples as one JSON file (floats round-trip exactly).
+
+    The file is written through `write_atomic`, so a failed save leaves
+    any previous file intact.
+    """
     data = {
         "spec": {
             "symmetry": spec.symmetry,
@@ -381,16 +386,16 @@ def save_dataset(path: str, spec: DatasetSpec, samples: SampleSet) -> None:
             else samples.original_y.tolist(),
         },
     }
-    with open(path, "w") as f:
-        json.dump(data, f)
+    write_atomic(path, json.dumps(data))
 
 
 def load_dataset(path: str) -> tuple[DatasetSpec, SampleSet]:
     """Inverse of save_dataset.
 
     Raises ValueError when the samples are inconsistent: per-sample
-    arrays of different lengths, non-finite features, a label outside
-    {0, 1}, or a B below the largest feature norm.
+    arrays (original_y included, when present) of different lengths,
+    non-finite features, a label or original label outside {0, 1}, or a
+    B below the largest feature norm.
     """
     with open(path) as f:
         data = json.load(f)
@@ -411,13 +416,9 @@ def load_dataset(path: str) -> tuple[DatasetSpec, SampleSet]:
     )
     d = data["samples"]
     X = np.asarray(d["X"], dtype=np.float64).reshape(-1, spec.ambient_dim)
-    # Checked before the int64 cast, which would truncate 0.5 to 0.
-    y = np.asarray(d["y"])
-    if not np.all((y == 0) | (y == 1)):
-        raise ValueError(f"{path}: labels must be 0 or 1")
     samples = SampleSet(
         X=X,
-        y=y.astype(np.int64),
+        y=_labels(path, "labels", d["y"]),
         B=float(d["B"]),
         rep_index=np.asarray(d["rep_index"], dtype=np.int64),
         angle=np.asarray(d["angle"], dtype=np.float64),
@@ -426,17 +427,25 @@ def load_dataset(path: str) -> tuple[DatasetSpec, SampleSet]:
         augment=d["augment"],
         original_y=None
         if d["original_y"] is None
-        else np.asarray(d["original_y"], dtype=np.int64),
+        else _labels(path, "original_y labels", d["original_y"]),
     )
     _check_samples(path, samples)
     return spec, samples
 
 
+def _labels(path: str, name: str, values: list) -> np.ndarray:
+    # Checked before the int64 cast, which would truncate 0.5 to 0.
+    a = np.asarray(values)
+    if not np.all((a == 0) | (a == 1)):
+        raise ValueError(f"{path}: {name} must be 0 or 1")
+    return a.astype(np.int64)
+
+
 def _check_samples(path: str, samples: SampleSet) -> None:
-    lengths = {
-        name: len(getattr(samples, name))
-        for name in ("X", "y", "rep_index", "angle", "reflect")
-    }
+    names = ["X", "y", "rep_index", "angle", "reflect"]
+    if samples.original_y is not None:
+        names.append("original_y")
+    lengths = {name: len(getattr(samples, name)) for name in names}
     if len(set(lengths.values())) > 1:
         raise ValueError(f"{path}: per-sample arrays differ in length: {lengths}")
     if not np.all(np.isfinite(samples.X)):

@@ -23,8 +23,6 @@ __all__ = [
     "GROUP_KINDS",
     "FiniteGroup",
     "build_group",
-    "compose",
-    "inverse",
     "group_from_json",
     "group_to_json",
 ]
@@ -164,16 +162,6 @@ def build_group(kind: str, N: int = 1) -> FiniteGroup:
         inverses=inverses,
         names=tuple(names),
     )
-
-
-def compose(G: FiniteGroup, a: int, b: int) -> int:
-    """Return the index of the product a * b in G."""
-    return G.compose(a, b)
-
-
-def inverse(G: FiniteGroup, a: int) -> int:
-    """Return the index of a^{-1} in G."""
-    return G.inverse(a)
 
 
 def group_to_json(G: FiniteGroup) -> dict:

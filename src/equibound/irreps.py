@@ -10,7 +10,9 @@ A RepSpec describes how a feature space transforms: an ordered list of
 (irrep id, multiplicity) blocks plus an orthogonal change of basis Q
 such that Q^T rho(g) Q is the corresponding block diagonal for every
 group element.  Block coordinates group copies of the same irrep
-together, copy-major with the irrep component fastest.
+together, copy-major with the irrep component fastest.  Q is stored
+factored, as channel copies of a small base basis plus a column
+permutation; the dense matrix is built only when an oracle reads it.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from .groups import FiniteGroup, build_group
 __all__ = [
     "Irrep",
     "RepSpec",
-    "StackInfo",
     "decompose_representation",
     "direct_sum",
     "fourier_transform",
@@ -225,46 +226,42 @@ def intertwiner_basis(G: FiniteGroup, psi: Irrep) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class StackInfo:
-    """Factored structure of a rep built as `channels` copies of a base rep.
-
-    The full change of basis is kron(I_channels, base_Q) with columns
-    permuted by `perm` so that copies of the same irrep are grouped;
-    `inv_perm` undoes that grouping.  Used to apply Q and Q^T as one
-    GEMM over (rows * channels, base_dim) plus a column take, without
-    materializing the dense matrix.
-    """
-
-    base_Q: np.ndarray
-    channels: int
-    perm: np.ndarray
-    inv_perm: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
 class RepSpec:
-    """An orthogonal representation described by irrep blocks and a basis Q.
+    """An orthogonal representation described by irrep blocks and a basis.
 
-    `blocks` is an ordered tuple of (irrep id, multiplicity); Q is the
-    orthogonal dim x dim change of basis with Q^T rho(g) Q block
-    diagonal.  The represented action itself is recovered as
-    rho(g) = Q (block diagonal) Q^T.
+    `blocks` is an ordered tuple of (irrep id, multiplicity).  The basis
+    is stored factored: `channels` copies of a k x k orthogonal `base_Q`,
+    so the change of basis is Q = kron(I_channels, base_Q) with its
+    columns reordered by `perm` to group copies of the same irrep (None
+    keeps the kron order).  Q^T rho(g) Q is block diagonal, and the
+    represented action is rho(g) = Q (block diagonal) Q^T.
     """
 
     group: FiniteGroup
     blocks: tuple[tuple[str, int], ...]
-    Q: np.ndarray
-    stack: StackInfo | None = None
+    base_Q: np.ndarray
+    channels: int = 1
+    perm: np.ndarray | None = None
 
     @cached_property
     def dim(self) -> int:
-        return self.Q.shape[0]
+        return self.channels * self.base_Q.shape[0]
+
+    @cached_property
+    def Q(self) -> np.ndarray:
+        """The dense dim x dim change of basis, built on first read by an oracle."""
+        Q = np.kron(np.eye(self.channels), self.base_Q)
+        return _freeze(Q if self.perm is None else Q[:, self.perm])
+
+    @cached_property
+    def inv_perm(self) -> np.ndarray | None:
+        return None if self.perm is None else np.argsort(self.perm)
 
     @cached_property
     def is_identity(self) -> bool:
+        B = self.base_Q
         return bool(
-            self.Q.shape[0] == self.Q.shape[1]
-            and np.array_equal(self.Q, np.eye(self.Q.shape[0]))
+            self.perm is None and np.count_nonzero(B) == len(B) and np.all(np.diagonal(B) == 1.0)
         )
 
     @cached_property
@@ -307,22 +304,18 @@ class RepSpec:
         """Map batch rows X (batch, dim) to block coordinates (rows times Q)."""
         if self.is_identity:
             return X
-        if self.stack is not None:
-            s = self.stack
-            U = X.reshape(-1, s.base_Q.shape[0]) @ s.base_Q
-            return np.take(U.reshape(X.shape[0], self.dim), s.perm, axis=1)
-        return X @ self.Q
+        U = X.reshape(-1, self.base_Q.shape[0]) @ self.base_Q
+        U = U.reshape(X.shape[0], self.dim)
+        return U if self.perm is None else np.take(U, self.perm, axis=1)
 
     def from_block(self, V: np.ndarray) -> np.ndarray:
         """Map batch rows in block coordinates back (rows times Q^T)."""
         if self.is_identity:
             return V
-        if self.stack is not None:
-            s = self.stack
-            V0 = np.take(V, s.inv_perm, axis=1)
-            X = V0.reshape(-1, s.base_Q.shape[0]) @ s.base_Q.T
-            return X.reshape(V.shape[0], self.dim)
-        return V @ self.Q.T
+        if self.perm is not None:
+            V = np.take(V, self.inv_perm, axis=1)
+        X = V.reshape(-1, self.base_Q.shape[0]) @ self.base_Q.T
+        return X.reshape(V.shape[0], self.dim)
 
     def __repr__(self) -> str:
         return f"RepSpec(group={self.group!r}, blocks={self.blocks}, dim={self.dim})"
@@ -362,7 +355,7 @@ def _regular_cached(kind: str, N: int) -> RepSpec:
             for p in range(d):
                 cols.append(scale * psi.matrices[:, p, q])
     Q = _freeze(np.column_stack(cols))
-    return RepSpec(group=G, blocks=tuple(blocks), Q=Q)
+    return RepSpec(group=G, blocks=tuple(blocks), base_Q=Q)
 
 
 def regular_representation(G: FiniteGroup) -> RepSpec:
@@ -468,7 +461,7 @@ def decompose_representation(
             Q[:, offset : offset + d] = U.T
             offset += d
 
-    rep = RepSpec(group=G, blocks=tuple(blocks), Q=_freeze(Q))
+    rep = RepSpec(group=G, blocks=tuple(blocks), base_Q=_freeze(Q))
     _validate_rep_spec(rep, rho, tol)
     return rep
 
@@ -619,14 +612,14 @@ def direct_sum(parts: list[RepSpec]) -> RepSpec:
         Q0[offset : offset + r.dim, offset : offset + r.dim] = r.Q
         offset += r.dim
     blocks, perm = _grouped_perm(G, parts)
-    return RepSpec(group=G, blocks=blocks, Q=_freeze(Q0[:, perm]))
+    return RepSpec(group=G, blocks=blocks, base_Q=_freeze(Q0[:, perm]))
 
 
 def stack_rep(base: RepSpec, channels: int) -> RepSpec:
     """Stack `channels` independent copies of a rep, grouped by irrep.
 
-    The result keeps the factored structure so Q and Q^T can be applied
-    in O(channels * base_dim^2) instead of densely.
+    The result shares the base rep's basis, so Q and Q^T are applied in
+    O(channels * base_dim^2) instead of densely.
     """
     if channels < 1:
         raise ValueError("channels must be >= 1")
@@ -634,18 +627,17 @@ def stack_rep(base: RepSpec, channels: int) -> RepSpec:
         return base
     G = base.group
     blocks, perm = _grouped_perm(G, [base] * channels)
-    Q = np.kron(np.eye(channels), base.Q)[:, perm]
-    info = StackInfo(
-        base_Q=base.Q, channels=channels, perm=perm, inv_perm=np.argsort(perm)
-    )
-    return RepSpec(group=G, blocks=blocks, Q=_freeze(Q), stack=info)
+    if np.array_equal(perm, np.arange(len(perm))):
+        perm = None
+    base_Q = base.base_Q if base.channels == 1 and base.perm is None else base.Q
+    return RepSpec(group=G, blocks=blocks, base_Q=base_Q, channels=channels, perm=perm)
 
 
 def trivial_stack(G: FiniteGroup, n: int) -> RepSpec:
     """n copies of the trivial irrep with the identity basis."""
     if n < 1:
         raise ValueError("need at least one copy")
-    return RepSpec(group=G, blocks=(("triv", n),), Q=_freeze(np.eye(n)))
+    return RepSpec(group=G, blocks=(("triv", n),), base_Q=_freeze(np.eye(1)), channels=n)
 
 
 def rep_to_json(rep: RepSpec) -> dict:
@@ -659,11 +651,11 @@ def rep_to_json(rep: RepSpec) -> dict:
 
 
 def rep_from_json(G: FiniteGroup, data: dict) -> RepSpec:
-    """Rebuild a rep from its serialized form (dense, without stack info)."""
+    """Rebuild a single-channel rep from its serialized form."""
     blocks = tuple((str(pid), int(mult)) for pid, mult in data["blocks"])
     dim = sum(irrep_by_id(G, pid).dim * mult for pid, mult in blocks)
     if data["Q"] == "identity":
         Q = np.eye(dim)
     else:
         Q = np.asarray(data["Q"], dtype=np.float64).reshape(dim, dim)
-    return RepSpec(group=G, blocks=blocks, Q=_freeze(Q))
+    return RepSpec(group=G, blocks=blocks, base_Q=_freeze(Q))

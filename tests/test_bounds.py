@@ -32,6 +32,7 @@ from equibound.equivariant import (
     TrainConfig,
     build_network,
     empirical_margin_loss,
+    margins,
     train,
 )
 from equibound.groups import build_group
@@ -532,6 +533,23 @@ def test_compute_report_never_reads_dense_matrix(monkeypatch):
     monkeypatch.setattr(EquivariantLayer, "matrix", property(dense_read))
     report = compute_report(_inputs(net))
     assert report_to_csv_row(report) == report_to_csv_row(expected)
+
+
+def test_train_margins_and_report_never_build_a_dense_basis():
+    """Stacked reps apply their factored basis; only oracles build the dense Q."""
+    G = build_group("cyclic", 8)
+    net = build_network(G, stack_rep(regular_representation(G), 2), [128, 64], 2, seed=37)
+    assert net.layers[1].blockwise and not net.layers[0].blockwise
+    rng = np.random.default_rng(38)
+    X = rng.standard_normal((96, net.input_rep.dim))
+    y = rng.integers(0, 2, len(X))
+    cfg = TrainConfig(gamma=1e6, max_epochs=1, batch_size=32, seed=39)
+    with pytest.raises(MarginNotReached):
+        train(net, X, y, cfg)
+    margins(net, X, y)
+    compute_report(_inputs(net))
+    for rep in net.reps:
+        assert "Q" not in rep.__dict__, rep
 
 
 def test_report_reuses_inputs_terms_exactly():

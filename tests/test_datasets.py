@@ -307,6 +307,26 @@ def test_dataset_json_roundtrip(tmp_path):
     assert ds2.augment == ds.augment
 
 
+def test_save_dataset_failed_write_keeps_previous_file(tmp_path, monkeypatch):
+    """A dataset file is replaced whole or not at all, and no temporary file stays."""
+    import os
+
+    spec = generate_synthetic("so2", 2, max_frequency=2, seed=33)
+    path = tmp_path / "data.json"
+    save_dataset(str(path), spec, sample(spec, 12, "none", seed=34))
+    before = path.read_bytes()
+
+    def interrupted(src, dst):
+        raise OSError("interrupted before the rename")
+
+    monkeypatch.setattr(os, "replace", interrupted)
+    with pytest.raises(OSError, match="interrupted"):
+        save_dataset(str(path), spec, sample(spec, 20, "none", seed=35))
+    monkeypatch.undo()
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["data.json"]
+
+
 def _shorten(field):
     def mutate(data):
         data["samples"][field] = data["samples"][field][:-1]
@@ -325,6 +345,14 @@ def _shrink_b(data):
     data["samples"]["B"] *= 0.99
 
 
+def _set_original_y(values):
+    def mutate(data):
+        n = len(data["samples"]["y"])
+        data["samples"]["original_y"] = values(n)
+
+    return mutate
+
+
 @pytest.mark.parametrize(
     "mutate, message",
     [
@@ -338,10 +366,14 @@ def _shrink_b(data):
         (_set_first("y", -1), "labels must be 0 or 1"),
         (_set_first("y", 0.5), "labels must be 0 or 1"),
         (_shrink_b, "below the largest row norm"),
+        (_set_original_y(lambda n: [0, 1] * (n // 2) + [1]), "differ in length"),
+        (_set_original_y(lambda n: [7] + [1] * (n - 1)), "original_y labels must be 0 or 1"),
+        (_set_original_y(lambda n: [0.5] + [1] * (n - 1)), "original_y labels must be 0 or 1"),
     ],
     ids=[
         "short-y", "short-rep_index", "short-angle", "short-reflect",
         "nan-X", "inf-X", "label-2", "label-minus-1", "label-half", "small-B",
+        "long-original_y", "original-label-7", "original-label-half",
     ],
 )
 def test_load_dataset_rejects_malformed_samples(tmp_path, mutate, message):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from equibound.groups import build_group, compose, group_from_json, group_to_json, inverse
+from equibound.groups import build_group, group_from_json, group_to_json
 
 # Hand-computed quaternion products in the fixed element order
 # (1, -1, i, -i, j, -j, k, -k); indices 0..7.
@@ -28,7 +28,7 @@ Q8_INDEX = {"1": 0, "-1": 1, "i": 2, "-i": 3, "j": 4, "-j": 5, "k": 6, "-k": 7}
 def test_quaternion_product_oracle():
     G = build_group("quaternion")
     for (a, b), expected in Q8_ORACLE.items():
-        got = compose(G, Q8_INDEX[a], Q8_INDEX[b])
+        got = G.compose(Q8_INDEX[a], Q8_INDEX[b])
         assert got == Q8_INDEX[expected], f"{a}*{b} should be {expected}"
 
 
@@ -44,8 +44,8 @@ def test_cyclic_is_addition_mod_n(N):
     G = build_group("cyclic", N)
     for a in range(N):
         for b in range(N):
-            assert compose(G, a, b) == (a + b) % N
-        assert inverse(G, a) == (-a) % N
+            assert G.compose(a, b) == (a + b) % N
+        assert G.inverse(a) == (-a) % N
 
 
 @pytest.mark.parametrize("N", [1, 2, 3, 4, 6, 8])
@@ -60,10 +60,10 @@ def test_dihedral_composition_oracle(N):
     s = lambda a: N + (a % N)
     for a in range(N):
         for b in range(N):
-            assert compose(G, r(a), r(b)) == r(a + b)
-            assert compose(G, r(a), s(b)) == s(b - a)
-            assert compose(G, s(a), r(b)) == s(a + b)
-            assert compose(G, s(a), s(b)) == r(b - a)
+            assert G.compose(r(a), r(b)) == r(a + b)
+            assert G.compose(r(a), s(b)) == s(b - a)
+            assert G.compose(s(a), r(b)) == s(a + b)
+            assert G.compose(s(a), s(b)) == r(b - a)
 
 
 @pytest.mark.parametrize(
@@ -108,7 +108,7 @@ def test_dihedral_reflection_geometry():
     for a in range(2 * N):
         for b in range(2 * N):
             np.testing.assert_allclose(
-                mat(a) @ mat(b), mat(compose(G, a, b)), atol=1e-12
+                mat(a) @ mat(b), mat(G.compose(a, b)), atol=1e-12
             )
 
 

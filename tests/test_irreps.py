@@ -468,16 +468,42 @@ def test_stack_rep_matches_kron():
         )
 
 
-def test_stack_block_transform_agrees_with_dense():
-    G = build_group("cyclic", 5)
-    base = regular_representation(G)
-    rep = stack_rep(base, 4)
+def _stacked(base, channels):
+    return base, stack_rep(base, channels)
+
+
+@pytest.mark.parametrize(
+    "kind, N, build",
+    [
+        ("cyclic", 1, lambda G: _stacked(regular_representation(G), 4)),
+        ("cyclic", 5, lambda G: _stacked(regular_representation(G), 4)),
+        ("dihedral", 3, lambda G: _stacked(regular_representation(G), 3)),
+        ("quaternion", 8, lambda G: _stacked(regular_representation(G), 2)),
+        ("cyclic", 4, lambda G: (trivial_stack(G, 1), trivial_stack(G, 5))),
+        ("dihedral", 4, lambda G: _stacked(restricted_frequency_rep(G, 1, True), 3)),
+        ("cyclic", 3, lambda G: _stacked(stack_rep(regular_representation(G), 2), 3)),
+    ],
+    ids=[
+        "c1-regular", "c5-regular", "d3-regular", "q8-regular", "trivial",
+        "d4-frequency", "c3-stack-of-stack",
+    ],
+)
+def test_stack_block_transform_agrees_with_dense(kind, N, build):
+    """The factored basis change against the dense Q = kron(I, base Q) oracle."""
+    G = build_group(kind, N)
+    base, rep = build(G)
+    channels = rep.dim // base.dim
+    assert rep.is_identity == np.array_equal(rep.Q, np.eye(rep.dim))
     rng = np.random.default_rng(23)
     X = rng.standard_normal((7, rep.dim))
     np.testing.assert_allclose(rep.to_block(X), X @ rep.Q, atol=1e-12)
     V = rng.standard_normal((7, rep.dim))
     np.testing.assert_allclose(rep.from_block(V), V @ rep.Q.T, atol=1e-12)
     np.testing.assert_allclose(rep.from_block(rep.to_block(X)), X, atol=1e-12)
+    for g in range(G.order):
+        np.testing.assert_allclose(
+            rep.rho(g), np.kron(np.eye(channels), base.rho(g)), atol=1e-12
+        )
 
 
 def test_trivial_stack_identity_fast_path():
