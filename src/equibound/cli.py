@@ -30,7 +30,6 @@ import sys
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
-from scipy.stats import spearmanr
 
 from .bounds import (
     BoundInputs,
@@ -62,7 +61,15 @@ from .equivariant import (
     write_atomic,
 )
 from .groups import build_group
-from .irreps import irrep_by_id, irreps_of, regular_representation, restricted_frequency_rep
+from .irreps import (
+    frequency_action,
+    irrep_by_id,
+    irreps_of,
+    regular_matrices,
+    regular_representation,
+    restricted_frequency_rep,
+    stack_rep,
+)
 from .verify import (
     character_type_oracle,
     check_equivariance,
@@ -75,7 +82,6 @@ from .verify import (
     mc_tail_check,
     rep_invariants_check,
 )
-from .irreps import regular_matrices
 
 __all__ = ["SweepConfig", "main", "run_sweep"]
 
@@ -253,16 +259,19 @@ def _verify_suite(trials: int, seed: int) -> list:
     n_reps = 0
     for kind, n in (("cyclic", 8), ("dihedral", 6), ("quaternion", 8)):
         G = build_group(kind, n)
-        rep = regular_representation(G)
-        r = rep_invariants_check(rep, regular_matrices(G))
-        worst = max(worst, r.max_violation)
-        n_reps += 1
+        reg = regular_representation(G)
+        mats = regular_matrices(G)
+        # Hidden layers use channel stacks; their action is kron(P_g, I).
+        for channels in (1, 3):
+            rho = np.stack([np.kron(P, np.eye(channels)) for P in mats])
+            r = rep_invariants_check(stack_rep(reg, channels), rho)
+            worst = max(worst, r.max_violation)
+            n_reps += 1
     for kind, n, reflected in (("cyclic", 8, False), ("dihedral", 6, True)):
         G = build_group(kind, n)
         for f in range(0, 4):
             rep = restricted_frequency_rep(G, f, reflected)
-            rho = np.stack([rep.rho(g) for g in range(G.order)])
-            r = rep_invariants_check(rep, rho)
+            r = rep_invariants_check(rep, frequency_action(G, f, reflected))
             worst = max(worst, r.max_violation)
             n_reps += 1
     results.append(_result("rep-invariants", worst, n_reps, 1e-10))
@@ -600,6 +609,10 @@ def _sweep_summary(rows: list[dict]) -> dict:
 
 
 def _spearman(a: list[float], b: list[float]) -> float:
+    # Imported here: scipy.stats takes most of the package's import time,
+    # and only sweep summaries need it.
+    from scipy.stats import spearmanr
+
     rho = spearmanr(a, b).statistic
     return float(rho) if rho is not None else float("nan")
 

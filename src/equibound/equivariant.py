@@ -3,10 +3,13 @@
 A layer maps between two RepSpecs and is parametrized purely in the
 Fourier domain: for every irrep shared by the input and output reps,
 each (output copy, input copy) pair carries one coefficient vector of
-length c_psi whose expansion in the intertwiner basis forms one block
-of that irrep's superblock.  In block coordinates the layer is the
-direct sum of its superblocks, so applying it is a change of basis
-into the input's block coordinates, one matmul per shared irrep, and a
+length c_psi in the intertwiner basis.  Block coordinates place an
+irrep's copies fastest, so its superblock is sum_t kron(basis_t,
+coef_t) with coef_t the (m_out, m_in) matrix of t-th coefficients, and
+it sits in one contiguous row and column range.  In block coordinates
+the layer is the direct sum of its superblocks, so applying it is a
+change of basis into the input's block coordinates (one batched matmul
+with the rep's small base basis), one matmul per shared irrep, and a
 change of basis back out of the output's; the superblocks are cached
 until the coefficients change.  The dense matrix W = Q_out (block
 matrix) Q_in^T commutes with the group action by construction and is
@@ -196,7 +199,7 @@ class EquivariantLayer:
         return S
 
     def superblocks(self) -> dict[str, np.ndarray]:
-        """Per-irrep dense blocks (m_out*d, m_in*d) in block coordinates.
+        """Per-irrep dense blocks (d*m_out, d*m_in) in block coordinates.
 
         Cached until dirty; callers must not modify the arrays.
         """
@@ -556,7 +559,9 @@ def train(
     raise MarginNotReached(cfg.max_epochs, result.margin_accuracy)
 
 
-CHECKPOINT_SCHEMA = 2
+# Version 3: copies are numbered component-major, copy fastest, so the
+# coefficients and input basis of a version 2 file mean another network.
+CHECKPOINT_SCHEMA = 3
 
 
 def save_checkpoint(path: str, net: EquivariantNetwork, metadata: dict) -> None:

@@ -9,10 +9,15 @@ its inverse, and group circulant matrices.
 A RepSpec describes how a feature space transforms: an ordered list of
 (irrep id, multiplicity) blocks plus an orthogonal change of basis Q
 such that Q^T rho(g) Q is the corresponding block diagonal for every
-group element.  Block coordinates group copies of the same irrep
-together, copy-major with the irrep component fastest.  Q is stored
-factored, as channel copies of a small base basis plus a column
-permutation; the dense matrix is built only when an oracle reads it.
+group element.  Each irrep occupies one contiguous column range of the
+block coordinates, indexed component-major with the copy fastest
+(p * multiplicity + copy), so the block diagonal of an irrep psi with
+multiplicity M is kron(psi(g), I_M).  Q is stored factored, as
+kron(base_Q, I_channels): a stack's represented coordinates are
+base-coordinate-major with the channel fastest, and the same rule then
+places every irrep of the stack in one column range.  Changing basis is
+one batched matmul with base_Q; the dense Q is built only when an
+oracle reads it.
 """
 
 from __future__ import annotations
@@ -31,6 +36,7 @@ __all__ = [
     "direct_sum",
     "fourier_transform",
     "fourier_transform_full",
+    "frequency_action",
     "group_circulant",
     "intertwiner_basis",
     "inverse_fourier",
@@ -230,10 +236,11 @@ class RepSpec:
     """An orthogonal representation described by irrep blocks and a basis.
 
     `blocks` is an ordered tuple of (irrep id, multiplicity).  The basis
-    is stored factored: `channels` copies of a k x k orthogonal `base_Q`,
-    so the change of basis is Q = kron(I_channels, base_Q) with its
-    columns reordered by `perm` to group copies of the same irrep (None
-    keeps the kron order).  Q^T rho(g) Q is block diagonal, and the
+    is stored factored: a k x k orthogonal `base_Q` and a channel count,
+    so the change of basis is Q = kron(base_Q, I_channels).  Each irrep
+    fills one contiguous range of block coordinates, component-major
+    with the copy fastest; in a stack, copy q of the base rep in channel
+    c is copy q * channels + c.  Q^T rho(g) Q is block diagonal, and the
     represented action is rho(g) = Q (block diagonal) Q^T.
     """
 
@@ -241,7 +248,6 @@ class RepSpec:
     blocks: tuple[tuple[str, int], ...]
     base_Q: np.ndarray
     channels: int = 1
-    perm: np.ndarray | None = None
 
     @cached_property
     def dim(self) -> int:
@@ -250,19 +256,12 @@ class RepSpec:
     @cached_property
     def Q(self) -> np.ndarray:
         """The dense dim x dim change of basis, built on first read by an oracle."""
-        Q = np.kron(np.eye(self.channels), self.base_Q)
-        return _freeze(Q if self.perm is None else Q[:, self.perm])
-
-    @cached_property
-    def inv_perm(self) -> np.ndarray | None:
-        return None if self.perm is None else np.argsort(self.perm)
+        return _freeze(np.kron(self.base_Q, np.eye(self.channels)))
 
     @cached_property
     def is_identity(self) -> bool:
         B = self.base_Q
-        return bool(
-            self.perm is None and np.count_nonzero(B) == len(B) and np.all(np.diagonal(B) == 1.0)
-        )
+        return bool(np.count_nonzero(B) == len(B) and np.all(np.diagonal(B) == 1.0))
 
     @cached_property
     def layout(self) -> tuple[tuple[Irrep, int, int], ...]:
@@ -284,14 +283,11 @@ class RepSpec:
         return 0
 
     def block_diagonal(self, g: int) -> np.ndarray:
-        """Materialize the block-diagonal matrix direct-sum of psi(g) copies."""
+        """Materialize the block-diagonal matrix: kron(psi(g), I_mult) per block."""
         out = np.zeros((self.dim, self.dim))
         for psi, offset, mult in self.layout:
-            d = psi.dim
-            mat = psi.matrices[g]
-            for q in range(mult):
-                lo = offset + q * d
-                out[lo : lo + d, lo : lo + d] = mat
+            span = slice(offset, offset + mult * psi.dim)
+            out[span, span] = np.kron(psi.matrices[g], np.eye(mult))
         return out
 
     def rho(self, g: int) -> np.ndarray:
@@ -304,17 +300,20 @@ class RepSpec:
         """Map batch rows X (batch, dim) to block coordinates (rows times Q)."""
         if self.is_identity:
             return X
-        U = X.reshape(-1, self.base_Q.shape[0]) @ self.base_Q
-        U = U.reshape(X.shape[0], self.dim)
-        return U if self.perm is None else np.take(U, self.perm, axis=1)
+        # With one channel the batched matmul below would be one
+        # matrix-vector product per row, about 5x slower than one GEMM.
+        if self.channels == 1:
+            return X @ self.base_Q
+        U = np.matmul(self.base_Q.T, X.reshape(X.shape[0], -1, self.channels))
+        return U.reshape(X.shape[0], self.dim)
 
     def from_block(self, V: np.ndarray) -> np.ndarray:
         """Map batch rows in block coordinates back (rows times Q^T)."""
         if self.is_identity:
             return V
-        if self.perm is not None:
-            V = np.take(V, self.inv_perm, axis=1)
-        X = V.reshape(-1, self.base_Q.shape[0]) @ self.base_Q.T
+        if self.channels == 1:
+            return V @ self.base_Q.T
+        X = np.matmul(self.base_Q, V.reshape(V.shape[0], -1, self.channels))
         return X.reshape(V.shape[0], self.dim)
 
     def __repr__(self) -> str:
@@ -351,8 +350,8 @@ def _regular_cached(kind: str, N: int) -> RepSpec:
         mult = d // c
         blocks.append((psi.id, mult))
         scale = np.sqrt(d / n)
-        for q in range(mult):
-            for p in range(d):
+        for p in range(d):
+            for q in range(mult):
                 cols.append(scale * psi.matrices[:, p, q])
     Q = _freeze(np.column_stack(cols))
     return RepSpec(group=G, blocks=tuple(blocks), base_Q=Q)
@@ -363,7 +362,9 @@ def regular_representation(G: FiniteGroup) -> RepSpec:
 
     Every irrep appears with multiplicity dim/c; the columns of Q are the
     scaled matrix coefficients sqrt(dim/|G|) psi(.)[p, q] of the retained
-    columns q < dim/c, which form an exactly orthonormal basis.
+    columns q < dim/c, which form an exactly orthonormal basis.  Column
+    q of psi is copy q, so the coefficient (p, q) sits at p * dim/c + q
+    of psi's range.
     """
     return _regular_cached(G.kind, G.N)
 
@@ -457,9 +458,9 @@ def decompose_representation(
                 f"failed to extract {mult} copies of {irrep_id}; "
                 "input is numerically degenerate"
             )
-        for U in accepted:
-            Q[:, offset : offset + d] = U.T
-            offset += d
+        for q, U in enumerate(accepted):
+            Q[:, offset + q : offset + mult * d : mult] = U.T
+        offset += mult * d
 
     rep = RepSpec(group=G, blocks=tuple(blocks), base_Q=_freeze(Q))
     _validate_rep_spec(rep, rho, tol)
@@ -518,7 +519,7 @@ def inverse_fourier(G: FiniteGroup, coeffs: dict[str, np.ndarray]) -> np.ndarray
             )
         scale = np.sqrt(psi.dim / n)
         span = keep * psi.dim
-        s[offset : offset + span] = scale * mat.T.reshape(-1)
+        s[offset : offset + span] = scale * mat.reshape(-1)
         offset += span
     return reg.Q @ s
 
@@ -540,13 +541,14 @@ def group_circulant(G: FiniteGroup, w: np.ndarray) -> np.ndarray:
     return w[_circulant_index(G.kind, G.N)]
 
 
-def restricted_frequency_rep(G: FiniteGroup, f: int, reflected: bool) -> RepSpec:
-    """Restrict the continuous frequency-f circle action to a finite group.
+def frequency_action(G: FiniteGroup, f: int, reflected: bool) -> np.ndarray:
+    """The continuous frequency-f circle action restricted to G, per element.
 
     With reflected=False this is the 2D rotation representation of a
     single circle; with reflected=True it is the 4D representation of a
     pair of circles where reflections swap the circles and negate the
-    angle.  Only cyclic and dihedral groups are supported.
+    angle.  Returns the (order, dim, dim) matrices.  Only cyclic and
+    dihedral groups are supported.
     """
     if G.kind == "quaternion":
         raise ValueError("frequency representations need a rotation group")
@@ -556,11 +558,9 @@ def restricted_frequency_rep(G: FiniteGroup, f: int, reflected: bool) -> RepSpec
     angles = 2 * np.pi * f * np.arange(N) / N
     rots = np.stack([_rotation(a) for a in angles])
     if not reflected:
-        dim = 2
         rot_mats = rots
         refl = _REFLECT_2D
     else:
-        dim = 4
         rot_mats = np.zeros((N, 4, 4))
         rot_mats[:, :2, :2] = rots
         rot_mats[:, 2:, 2:] = rots
@@ -568,36 +568,21 @@ def restricted_frequency_rep(G: FiniteGroup, f: int, reflected: bool) -> RepSpec
         refl[:2, 2:] = _REFLECT_2D
         refl[2:, :2] = _REFLECT_2D
     if G.kind == "cyclic":
-        rho = rot_mats
-    else:
-        rho = np.concatenate([rot_mats, np.einsum("ij,gjk->gik", refl, rot_mats)])
-    return decompose_representation(G, rho, seed=0)
+        return rot_mats
+    return np.concatenate([rot_mats, np.einsum("ij,gjk->gik", refl, rot_mats)])
 
 
-def _grouped_perm(
-    G: FiniteGroup, parts: list[RepSpec]
-) -> tuple[tuple[tuple[str, int], ...], np.ndarray]:
-    """Column permutation grouping same-irrep copies across stacked parts."""
-    offsets = np.cumsum([0] + [r.dim for r in parts])
-    perm = []
-    blocks = []
-    for psi in irreps_of(G):
-        d = psi.dim
-        total = 0
-        for r, base in zip(parts, offsets):
-            for p, off, mult in r.layout:
-                if p.id != psi.id:
-                    continue
-                start = base + off
-                perm.extend(range(start, start + mult * d))
-                total += mult
-        if total > 0:
-            blocks.append((psi.id, total))
-    return tuple(blocks), np.asarray(perm, dtype=np.intp)
+def restricted_frequency_rep(G: FiniteGroup, f: int, reflected: bool) -> RepSpec:
+    """Decompose `frequency_action(G, f, reflected)` into irrep blocks."""
+    return decompose_representation(G, frequency_action(G, f, reflected), seed=0)
 
 
 def direct_sum(parts: list[RepSpec]) -> RepSpec:
-    """Direct-sum several reps of the same group, regrouping irrep copies."""
+    """Direct-sum several reps of the same group, regrouping irrep copies.
+
+    The copies of an irrep are numbered part by part, in the order of
+    `parts`, and the irreps follow the group's catalog order.
+    """
     if not parts:
         raise ValueError("direct_sum needs at least one rep")
     G = parts[0].group
@@ -607,30 +592,41 @@ def direct_sum(parts: list[RepSpec]) -> RepSpec:
         return parts[0]
     dim = sum(r.dim for r in parts)
     Q0 = np.zeros((dim, dim))
-    offset = 0
+    # Per irrep, the (component, copy) grid of each part's columns in Q0.
+    copies: dict[str, list[np.ndarray]] = {}
+    base = 0
     for r in parts:
-        Q0[offset : offset + r.dim, offset : offset + r.dim] = r.Q
-        offset += r.dim
-    blocks, perm = _grouped_perm(G, parts)
-    return RepSpec(group=G, blocks=blocks, base_Q=_freeze(Q0[:, perm]))
+        Q0[base : base + r.dim, base : base + r.dim] = r.Q
+        for psi, off, mult in r.layout:
+            start = base + off
+            grid = np.arange(start, start + psi.dim * mult).reshape(psi.dim, mult)
+            copies.setdefault(psi.id, []).append(grid)
+        base += r.dim
+    blocks = []
+    columns = []
+    for psi in irreps_of(G):
+        if psi.id in copies:
+            grid = np.hstack(copies[psi.id])
+            blocks.append((psi.id, grid.shape[1]))
+            columns.append(grid.reshape(-1))
+    return RepSpec(group=G, blocks=tuple(blocks), base_Q=_freeze(Q0[:, np.concatenate(columns)]))
 
 
 def stack_rep(base: RepSpec, channels: int) -> RepSpec:
-    """Stack `channels` independent copies of a rep, grouped by irrep.
+    """Stack `channels` independent copies of a rep, channel fastest.
 
-    The result shares the base rep's basis, so Q and Q^T are applied in
-    O(channels * base_dim^2) instead of densely.
+    The result keeps the base rep's `base_Q` and multiplies its channel
+    count, so Q = kron(base_Q, I) is applied as one batched matmul and
+    every irrep still fills one contiguous range of block coordinates.
     """
     if channels < 1:
         raise ValueError("channels must be >= 1")
     if channels == 1:
         return base
-    G = base.group
-    blocks, perm = _grouped_perm(G, [base] * channels)
-    if np.array_equal(perm, np.arange(len(perm))):
-        perm = None
-    base_Q = base.base_Q if base.channels == 1 and base.perm is None else base.Q
-    return RepSpec(group=G, blocks=blocks, base_Q=base_Q, channels=channels, perm=perm)
+    blocks = tuple((pid, mult * channels) for pid, mult in base.blocks)
+    return RepSpec(
+        group=base.group, blocks=blocks, base_Q=base.base_Q, channels=base.channels * channels
+    )
 
 
 def trivial_stack(G: FiniteGroup, n: int) -> RepSpec:

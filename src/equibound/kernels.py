@@ -22,20 +22,22 @@ def expand_coefficients(coeffs: np.ndarray, basis: np.ndarray) -> np.ndarray:
     """Expand per-block coefficients into the dense per-irrep superblock.
 
     coeffs has shape (m_out, m_in, c) and basis has shape (c, d, d); the
-    result is the (m_out*d, m_in*d) matrix whose (j, i) block is
-    sum_k coeffs[j, i, k] * basis[k].
+    result is the (d*m_out, d*m_in) matrix sum_k kron(basis[k],
+    coeffs[:, :, k]), whose entry [p*m_out + j, q*m_in + i] is
+    sum_k basis[k, p, q] * coeffs[j, i, k].
     """
     m_out, m_in, _ = coeffs.shape
     d = basis.shape[1]
-    blocks = np.einsum("jik,kpq->jpiq", coeffs, basis)
-    return np.ascontiguousarray(blocks.reshape(m_out * d, m_in * d))
+    blocks = np.einsum("kpq,jik->pjqi", basis, coeffs)
+    return np.ascontiguousarray(blocks.reshape(d * m_out, d * m_in))
 
 
 def project_coefficients(grad: np.ndarray, basis: np.ndarray) -> np.ndarray:
     """Project a dense superblock gradient back onto the coefficient basis.
 
-    grad has shape (m_out*d, m_in*d); the result has shape (m_out, m_in, c)
-    with entry [j, i, k] = <grad block (j, i), basis[k]>.
+    grad has shape (d*m_out, d*m_in); the result has shape (m_out, m_in, c)
+    with entry [j, i, k] = sum_pq grad[p*m_out + j, q*m_in + i] basis[k, p, q],
+    the adjoint of `expand_coefficients`.
     """
     c, d, _ = basis.shape
     m_out = grad.shape[0] // d
@@ -43,5 +45,5 @@ def project_coefficients(grad: np.ndarray, basis: np.ndarray) -> np.ndarray:
     # The basis is the left operand, so the product's long side is the
     # block count: with the blocks on the left, one-dimensional irreps
     # took 2-3x longer.
-    blocks = grad.reshape(m_out, d, m_in, d).transpose(1, 3, 0, 2).reshape(d * d, m_out * m_in)
+    blocks = grad.reshape(d, m_out, d, m_in).transpose(0, 2, 1, 3).reshape(d * d, m_out * m_in)
     return (basis.reshape(c, d * d) @ blocks).T.reshape(m_out, m_in, c)

@@ -419,7 +419,7 @@ def _assert_one_array_per_shared_irrep(path, net):
     """The file holds coefficients only: no reps, one array per shared irrep."""
     data = json.loads(path.read_text())
     assert set(data) == {"schema_version", "group", "architecture", "layers", "metadata"}
-    assert data["schema_version"] == 2
+    assert data["schema_version"] == 3
     for layer, entry in zip(net.layers, data["layers"], strict=True):
         assert "in_rep" not in entry and "out_rep" not in entry
         assert list(entry) == [b.irrep_id for b in layer.shared]
@@ -439,7 +439,7 @@ def _load_edited(path, data):
     return load_checkpoint(str(path))
 
 
-@pytest.mark.parametrize("version", [None, 1, 3, "2"])
+@pytest.mark.parametrize("version", [None, 1, 2, 4, "3"])
 def test_load_rejects_unknown_schema_version(tmp_path, version):
     path, data = _saved_checkpoint(tmp_path)
     if version is None:

@@ -11,6 +11,7 @@ from equibound.irreps import (
     direct_sum,
     fourier_transform,
     fourier_transform_full,
+    frequency_action,
     group_circulant,
     intertwiner_basis,
     inverse_fourier,
@@ -456,32 +457,52 @@ def test_direct_sum_blocks_and_action():
 
 
 def test_stack_rep_matches_kron():
-    G = build_group("dihedral", 3)
-    base = regular_representation(G)
-    rep = stack_rep(base, 3)
-    assert rep.dim == 18
-    for pid, mult in rep.blocks:
-        assert mult == 3 * base.multiplicity(pid)
-    for g in (0, 2, 4):
-        np.testing.assert_allclose(
-            rep.rho(g), np.kron(np.eye(3), base.rho(g)), atol=1e-12
-        )
+    """A regular stack acts as kron(permutation matrix, I_channels)."""
+    for kind, N in (("cyclic", 8), ("dihedral", 3), ("dihedral", 4), ("quaternion", 8)):
+        G = build_group(kind, N)
+        base = regular_representation(G)
+        rep = stack_rep(base, 3)
+        assert rep.dim == 3 * G.order
+        for pid, mult in rep.blocks:
+            assert mult == 3 * base.multiplicity(pid)
+        mats = regular_matrices(G)
+        for g in range(G.order):
+            np.testing.assert_allclose(rep.rho(g), np.kron(mats[g], np.eye(3)), atol=1e-12)
 
 
-def _stacked(base, channels):
-    return base, stack_rep(base, channels)
+def test_stack_of_stack_multiplies_channels():
+    for kind, N in (("cyclic", 3), ("dihedral", 4)):
+        G = build_group(kind, N)
+        base = regular_representation(G)
+        rep = stack_rep(stack_rep(base, 2), 3)
+        assert rep.base_Q is base.base_Q
+        assert rep.channels == 6
+        assert rep.blocks == stack_rep(base, 6).blocks
+        np.testing.assert_array_equal(rep.Q, stack_rep(base, 6).Q)
 
 
 @pytest.mark.parametrize(
     "kind, N, build",
     [
-        ("cyclic", 1, lambda G: _stacked(regular_representation(G), 4)),
-        ("cyclic", 5, lambda G: _stacked(regular_representation(G), 4)),
-        ("dihedral", 3, lambda G: _stacked(regular_representation(G), 3)),
-        ("quaternion", 8, lambda G: _stacked(regular_representation(G), 2)),
-        ("cyclic", 4, lambda G: (trivial_stack(G, 1), trivial_stack(G, 5))),
-        ("dihedral", 4, lambda G: _stacked(restricted_frequency_rep(G, 1, True), 3)),
-        ("cyclic", 3, lambda G: _stacked(stack_rep(regular_representation(G), 2), 3)),
+        ("cyclic", 1, lambda G: (stack_rep(regular_representation(G), 4), regular_matrices(G), 4)),
+        ("cyclic", 5, lambda G: (stack_rep(regular_representation(G), 4), regular_matrices(G), 4)),
+        ("dihedral", 3, lambda G: (stack_rep(regular_representation(G), 3), regular_matrices(G), 3)),
+        ("quaternion", 8, lambda G: (stack_rep(regular_representation(G), 2), regular_matrices(G), 2)),
+        ("cyclic", 4, lambda G: (trivial_stack(G, 5), np.ones((G.order, 1, 1)), 5)),
+        (
+            "dihedral",
+            4,
+            lambda G: (
+                stack_rep(restricted_frequency_rep(G, 1, True), 3),
+                frequency_action(G, 1, True),
+                3,
+            ),
+        ),
+        (
+            "cyclic",
+            3,
+            lambda G: (stack_rep(stack_rep(regular_representation(G), 2), 3), regular_matrices(G), 6),
+        ),
     ],
     ids=[
         "c1-regular", "c5-regular", "d3-regular", "q8-regular", "trivial",
@@ -489,10 +510,10 @@ def _stacked(base, channels):
     ],
 )
 def test_stack_block_transform_agrees_with_dense(kind, N, build):
-    """The factored basis change against the dense Q = kron(I, base Q) oracle."""
+    """The factored basis change against the dense Q, and the action against
+    kron(explicit base action, I_channels)."""
     G = build_group(kind, N)
-    base, rep = build(G)
-    channels = rep.dim // base.dim
+    rep, action, channels = build(G)
     assert rep.is_identity == np.array_equal(rep.Q, np.eye(rep.dim))
     rng = np.random.default_rng(23)
     X = rng.standard_normal((7, rep.dim))
@@ -501,9 +522,37 @@ def test_stack_block_transform_agrees_with_dense(kind, N, build):
     np.testing.assert_allclose(rep.from_block(V), V @ rep.Q.T, atol=1e-12)
     np.testing.assert_allclose(rep.from_block(rep.to_block(X)), X, atol=1e-12)
     for g in range(G.order):
-        np.testing.assert_allclose(
-            rep.rho(g), np.kron(np.eye(channels), base.rho(g)), atol=1e-12
-        )
+        np.testing.assert_allclose(rep.rho(g), np.kron(action[g], np.eye(channels)), atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "kind, N, channels",
+    [("cyclic", 8, 3), ("dihedral", 4, 3), ("quaternion", 8, 2), ("dihedral", 3, 1)],
+)
+def test_each_irrep_is_one_contiguous_block_range(kind, N, channels):
+    """Each irrep's range is contiguous, carries kron(psi(g), I_mult) under the
+    explicit action, and to_block restricted to it is X @ Q[:, range]."""
+    G = build_group(kind, N)
+    rep = stack_rep(regular_representation(G), channels)
+    mats = regular_matrices(G)
+    rng = np.random.default_rng(31)
+    X = rng.standard_normal((5, rep.dim))
+    U = rep.to_block(X)
+    end = 0
+    for psi, offset, mult in rep.layout:
+        assert offset == end
+        end = offset + mult * psi.dim
+        cols = slice(offset, end)
+        Qr = rep.Q[:, cols]
+        np.testing.assert_allclose(U[:, cols], X @ Qr, atol=1e-12)
+        for g in range(G.order):
+            acted = np.kron(mats[g], np.eye(channels)) @ Qr
+            np.testing.assert_allclose(
+                Qr.T @ acted, np.kron(psi.matrices[g], np.eye(mult)), atol=1e-12
+            )
+            # the range is invariant: the action leaves no component outside it
+            np.testing.assert_allclose(Qr @ (Qr.T @ acted), acted, atol=1e-12)
+    assert end == rep.dim
 
 
 def test_trivial_stack_identity_fast_path():

@@ -1,4 +1,9 @@
-"""The coefficient kernels: block structure, adjointness and reference sums."""
+"""The coefficient kernels: block structure, adjointness and reference sums.
+
+A superblock is indexed component-major with the copy fastest, so the
+(j, i) block of an irrep of dimension d sits at rows j::m_out and
+columns i::m_in.
+"""
 
 import numpy as np
 import pytest
@@ -21,9 +26,16 @@ def test_expand_coefficients_block_structure(m_out, m_in, c, d):
     for j in range(m_out):
         for i in range(m_in):
             block = sum(coeffs[j, i, k] * basis[k] for k in range(c))
-            np.testing.assert_allclose(
-                out[j * d : (j + 1) * d, i * d : (i + 1) * d], block, atol=1e-13
-            )
+            np.testing.assert_allclose(out[j::m_out, i::m_in], block, atol=1e-13)
+
+
+@pytest.mark.parametrize("m_out,m_in,c,d", [(1, 1, 1, 1), (3, 2, 2, 2), (4, 5, 4, 4), (6, 1, 1, 2)])
+def test_expand_coefficients_is_sum_of_krons(m_out, m_in, c, d):
+    """The superblock is sum_t kron(basis_t, coefficients[:, :, t])."""
+    rng = np.random.default_rng(5)
+    coeffs, basis = _random_case(rng, m_out, m_in, c, d)
+    expected = sum(np.kron(basis[t], coeffs[:, :, t]) for t in range(c))
+    np.testing.assert_allclose(kernels.expand_coefficients(coeffs, basis), expected, atol=1e-13)
 
 
 @pytest.mark.parametrize("m_out,m_in,c,d", [(2, 3, 1, 2), (3, 3, 2, 2), (2, 2, 4, 4)])
@@ -66,7 +78,7 @@ def test_kernels_match_per_block_sums(m_out, m_in, c, d):
     projected = np.zeros((m_out, m_in, c))
     for j in range(m_out):
         for i in range(m_in):
-            rows, cols = slice(j * d, (j + 1) * d), slice(i * d, (i + 1) * d)
+            rows, cols = slice(j, None, m_out), slice(i, None, m_in)
             for k in range(c):
                 expanded[rows, cols] += coeffs[j, i, k] * basis[k]
                 projected[j, i, k] = np.sum(grad[rows, cols] * basis[k])
