@@ -27,7 +27,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -145,8 +145,6 @@ def _build_net(spec, group: tuple[str, int], widths: list[int], seed: int):
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
-    spec, train_set = load_dataset(args.data)
-    net, channels = _build_net(spec, _parse_group(args.group), args.widths, args.seed)
     cfg = TrainConfig(
         gamma=args.gamma,
         max_epochs=args.epochs,
@@ -154,6 +152,8 @@ def _cmd_train(args: argparse.Namespace) -> int:
         batch_size=args.batch,
         seed=_derive_seed(args.seed, "shuffle"),
     )
+    spec, train_set = load_dataset(args.data)
+    net, channels = _build_net(spec, _parse_group(args.group), args.widths, args.seed)
     result = train(net, train_set.X, train_set.y, cfg)
     print(
         f"trained in {result.epochs} epochs, "
@@ -478,6 +478,12 @@ def run_sweep(cfg: SweepConfig) -> dict:
         raise ValueError(
             "sweep grid is empty: sizes, m_grid, seeds and groups each need a value"
         )
+    base_tcfg = TrainConfig(
+        gamma=cfg.gamma,
+        max_epochs=cfg.max_epochs,
+        learning_rate=cfg.learning_rate,
+        batch_size=cfg.batch_size,
+    )
     os.makedirs(cfg.out_dir, exist_ok=True)
     chash = cfg.config_hash()
     rows = []
@@ -493,13 +499,7 @@ def run_sweep(cfg: SweepConfig) -> dict:
                     net, channels = _build_net(
                         spec, (kind, N), cfg.widths, _derive_seed(seed, f"model:{kind}:{N}")
                     )
-                    tcfg = TrainConfig(
-                        gamma=cfg.gamma,
-                        max_epochs=cfg.max_epochs,
-                        learning_rate=cfg.learning_rate,
-                        batch_size=cfg.batch_size,
-                        seed=_derive_seed(seed, f"shuffle:{kind}:{N}"),
-                    )
+                    tcfg = replace(base_tcfg, seed=_derive_seed(seed, f"shuffle:{kind}:{N}"))
                     try:
                         result = train(net, train_set.X, train_set.y, tcfg)
                         reached = True

@@ -22,6 +22,11 @@ hidden layers) is applied through W instead: rebuilding W after an
 update then costs less than the two basis changes of every batch.
 Gradients are formed in block coordinates on both routes.
 
+`train` runs Adam in place: each coefficient array and its two moments
+are updated by a fixed sequence of `out=` ufuncs over chunks of
+ADAM_CHUNK elements through two scratch buffers, so a step allocates
+nothing and gives the textbook expression's values bit for bit.
+
 Networks alternate these layers with pointwise ReLU applied in the
 represented coordinates (the group domain for regular-representation
 features), carry no biases, and end in a trivial-irrep-only layer so
@@ -456,8 +461,20 @@ class TrainConfig:
     target_fraction: float = 0.99
 
     def __post_init__(self) -> None:
-        if self.gamma <= 0:
-            raise ValueError("gamma must be positive")
+        if not (math.isfinite(self.gamma) and self.gamma > 0):
+            raise ValueError(f"gamma must be finite and positive, got {self.gamma}")
+        if self.max_epochs < 1:
+            raise ValueError(f"max_epochs must be at least 1, got {self.max_epochs}")
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be at least 1, got {self.batch_size}")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError(
+                f"learning_rate must be finite and positive, got {self.learning_rate}"
+            )
+        if not 0 < self.target_fraction <= 1:
+            raise ValueError(
+                f"target_fraction must be in (0, 1], got {self.target_fraction}"
+            )
 
 
 @dataclass
@@ -490,6 +507,60 @@ class TrainingDiverged(RuntimeError):
         self.epoch = epoch
 
 
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+# Elements per chunk of the in-place Adam update, so that a chunk of a
+# coefficient array, its gradient, its two moments and the two scratch
+# buffers (1.5 MB together) stay in cache between the update's passes.
+ADAM_CHUNK = 32768
+
+
+def _adam_rows(arr: np.ndarray) -> int:
+    """Leading-axis rows of `arr` per chunk of the Adam update (at least one)."""
+    return max(1, ADAM_CHUNK // arr[0].size)
+
+
+def _adam_update(
+    coef: np.ndarray,
+    g: np.ndarray,
+    m1: np.ndarray,
+    m2: np.ndarray,
+    lr: float,
+    corr1: float,
+    corr2: float,
+    scratch: tuple[np.ndarray, np.ndarray],
+) -> None:
+    """One Adam step on `coef` and its moments, in place and chunk by chunk.
+
+    Each element goes through the operations of
+        m1 = b1*m1 + (1-b1)*g;  m2 = b2*m2 + (1-b2)*(g*g)
+        coef -= lr * ((m1/corr1) / (sqrt(m2/corr2) + eps))
+    in that order and unfolded, so the result is the expression's bit for
+    bit.  The chunks are slices of the leading axis, so `g` need not be
+    contiguous.
+    `scratch` holds two flat buffers of at least one chunk each.
+    """
+    rows = _adam_rows(coef)
+    for start in range(0, coef.shape[0], rows):
+        part = slice(start, start + rows)
+        c, gp, a, b = coef[part], g[part], m1[part], m2[part]
+        u = scratch[0][: c.size].reshape(c.shape)
+        v = scratch[1][: c.size].reshape(c.shape)
+        np.multiply(a, ADAM_BETA1, out=a)
+        np.multiply(gp, 1.0 - ADAM_BETA1, out=u)
+        np.add(a, u, out=a)
+        np.multiply(b, ADAM_BETA2, out=b)
+        np.multiply(gp, gp, out=u)
+        np.multiply(u, 1.0 - ADAM_BETA2, out=u)
+        np.add(b, u, out=b)
+        np.divide(b, corr2, out=u)
+        np.sqrt(u, out=u)
+        np.add(u, ADAM_EPS, out=u)
+        np.divide(a, corr1, out=v)
+        np.divide(v, u, out=v)
+        np.multiply(v, lr, out=v)
+        np.subtract(c, v, out=c)
+
+
 def train(
     net: EquivariantNetwork,
     X: np.ndarray,
@@ -497,6 +568,10 @@ def train(
     cfg: TrainConfig,
 ) -> TrainResult:
     """Adam on cross-entropy until the margin criterion is met.
+
+    The Adam step updates each coefficient array and its two moments in
+    place through two scratch buffers allocated here, once per call; its
+    values are the textbook expression's, bit for bit (see `_adam_update`).
 
     After each epoch the fraction of training points with margin
     strictly above cfg.gamma is evaluated; training stops once it
@@ -512,12 +587,17 @@ def train(
     if y.min() < 0 or y.max() >= net.n_classes:
         raise ValueError("labels out of range")
     rng = np.random.default_rng(cfg.seed)
-    beta1, beta2, eps = 0.9, 0.999, 1e-8
     moments = {
         (l, pid): (np.zeros_like(arr), np.zeros_like(arr))
         for l, layer in enumerate(net.layers)
         for pid, arr in layer.coefficients.items()
     }
+    scratch_size = max(
+        min(arr.shape[0], _adam_rows(arr)) * arr[0].size
+        for layer in net.layers
+        for arr in layer.coefficients.values()
+    )
+    scratch = (np.empty(scratch_size), np.empty(scratch_size))
     step = 0
     result = TrainResult(epochs=0, margin_accuracy=0.0)
     for epoch in range(1, cfg.max_epochs + 1):
@@ -532,17 +612,18 @@ def train(
             epoch_loss += loss
             n_batches += 1
             step += 1
-            corr1 = 1.0 - beta1**step
-            corr2 = 1.0 - beta2**step
+            corr1 = 1.0 - ADAM_BETA1**step
+            corr2 = 1.0 - ADAM_BETA2**step
             for l, layer in enumerate(net.layers):
                 for pid, g in grads[l].items():
-                    m1, m2 = moments[(l, pid)]
-                    m1 *= beta1
-                    m1 += (1.0 - beta1) * g
-                    m2 *= beta2
-                    m2 += (1.0 - beta2) * (g * g)
-                    layer.coefficients[pid] -= cfg.learning_rate * (
-                        (m1 / corr1) / (np.sqrt(m2 / corr2) + eps)
+                    _adam_update(
+                        layer.coefficients[pid],
+                        g,
+                        *moments[(l, pid)],
+                        cfg.learning_rate,
+                        corr1,
+                        corr2,
+                        scratch,
                     )
                 layer.mark_dirty()
         if not all(

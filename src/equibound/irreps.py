@@ -646,12 +646,27 @@ def rep_to_json(rep: RepSpec) -> dict:
     return {"blocks": [[pid, mult] for pid, mult in rep.blocks], "Q": q}
 
 
+# Largest entry of Q^T Q - I that `rep_from_json` accepts.
+JSON_ORTHOGONALITY_TOL = 1e-10
+
+
 def rep_from_json(G: FiniteGroup, data: dict) -> RepSpec:
-    """Rebuild a single-channel rep from its serialized form."""
+    """Rebuild a single-channel rep from its serialized form.
+
+    Raises ValueError when Q is not orthogonal to within
+    JSON_ORTHOGONALITY_TOL: every layer assumes Q^T = Q^{-1}, so such a
+    basis would silently give another network.
+    """
     blocks = tuple((str(pid), int(mult)) for pid, mult in data["blocks"])
     dim = sum(irrep_by_id(G, pid).dim * mult for pid, mult in blocks)
     if data["Q"] == "identity":
         Q = np.eye(dim)
     else:
         Q = np.asarray(data["Q"], dtype=np.float64).reshape(dim, dim)
+        err = float(np.max(np.abs(Q.T @ Q - np.eye(dim)), initial=0.0))
+        if not err <= JSON_ORTHOGONALITY_TOL:
+            raise ValueError(
+                f"rep basis Q is not orthogonal: max|Q^T Q - I| = {err:.3g} "
+                f"exceeds {JSON_ORTHOGONALITY_TOL:g}"
+            )
     return RepSpec(group=G, blocks=blocks, base_Q=_freeze(Q))

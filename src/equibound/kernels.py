@@ -1,7 +1,12 @@
 """The two coefficient kernels: expand to superblocks, project gradients back.
 
 Large dense matmuls are deliberately left to numpy/BLAS and do not live
-here.
+here.  A one-dimensional irrep has a single (1, 1) basis matrix, so both
+kernels are then one elementwise product by that scalar: one pass over
+the entries, where the general `einsum` and the k=1 GEMM scale them
+slowly.  The product is the single term those sums compute, so the
+values are the same bit for bit, except that a product of -0.0 keeps
+its sign where the sums, which start from +0.0, return +0.0.
 """
 
 from __future__ import annotations
@@ -27,6 +32,8 @@ def expand_coefficients(coeffs: np.ndarray, basis: np.ndarray) -> np.ndarray:
     sum_k basis[k, p, q] * coeffs[j, i, k].
     """
     m_out, m_in, _ = coeffs.shape
+    if basis.shape == (1, 1, 1):
+        return coeffs.reshape(m_out, m_in) * basis[0, 0, 0]
     d = basis.shape[1]
     blocks = np.einsum("kpq,jik->pjqi", basis, coeffs)
     return np.ascontiguousarray(blocks.reshape(d * m_out, d * m_in))
@@ -42,6 +49,8 @@ def project_coefficients(grad: np.ndarray, basis: np.ndarray) -> np.ndarray:
     c, d, _ = basis.shape
     m_out = grad.shape[0] // d
     m_in = grad.shape[1] // d
+    if basis.shape == (1, 1, 1):
+        return grad.reshape(m_out, m_in, 1) * basis[0, 0, 0]
     # The basis is the left operand, so the product's long side is the
     # block count: with the blocks on the left, one-dimensional irreps
     # took 2-3x longer.

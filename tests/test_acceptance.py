@@ -305,6 +305,7 @@ def _relative_spread(values: list[float]) -> float:
     return (max(values) - min(values)) / float(np.mean(values))
 
 
+@pytest.mark.slow
 def test_08_group_size_sweep(tmp_path):
     t0 = time.perf_counter()
     cfg = SweepConfig(
@@ -374,6 +375,7 @@ def _c9_bound(net, samples, gamma: float) -> float:
     return report.bound_main
 
 
+@pytest.mark.slow
 def test_09_random_label_bound_exceeds_true():
     spec = generate_synthetic("so2", 6, max_frequency=3, seed=0)
     true_set = sample(spec, 1024, "group", seed=1)

@@ -213,6 +213,26 @@ def test_train_malformed_dataset_exit_2(pipeline, tmp_path, capsys):
     assert "labels must be 0 or 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag,value", [("--batch", "0"), ("--lr", "-1"), ("--epochs", "0")])
+def test_train_bad_config_exit_2(pipeline, capsys, flag, value):
+    """A bad optimizer setting is refused before any data is read or epoch run."""
+    rc = main(["train", "--data", pipeline["train"], "--group", "cyclic:4", "--widths", "8", flag, value])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_bound_non_orthogonal_input_basis_exit_2(pipeline, tmp_path, capsys):
+    """A checkpoint whose input basis was scaled by 2 is refused, not misread."""
+    with open(pipeline["model"]) as f:
+        data = json.load(f)
+    data["architecture"]["input_rep"]["Q"] = [2.0 * q for q in data["architecture"]["input_rep"]["Q"]]
+    bad = tmp_path / "scaled.json"
+    bad.write_text(json.dumps(data))
+    rc = main(["bound", "--model", str(bad), "--data", pipeline["train"]])
+    assert rc == 2
+    assert "not orthogonal" in capsys.readouterr().err
+
+
 def test_train_margin_miss_exit_3(pipeline):
     rc = main(
         [

@@ -322,13 +322,24 @@ def test_train_divergence_stops_in_first_epoch():
     assert info.value.epoch == 1
 
 
-def test_train_divergence_checks_coefficients_at_epoch_end():
-    """One batch per epoch: the loss stays finite, the coefficients do not."""
+def test_train_divergence_checks_coefficients_at_epoch_end(monkeypatch):
+    """One batch per epoch: the loss stays finite, the coefficients do not.
+
+    An infinite gradient entry makes its Adam step inf/inf = nan.
+    """
     G = build_group("cyclic", 4)
     inp = restricted_frequency_rep(G, 1, False)
     net = build_network(G, inp, [4, 2], 2, seed=0)
     X, y = _toy_problem()
-    cfg = TrainConfig(gamma=0.5, max_epochs=800, learning_rate=np.inf, batch_size=120, seed=0)
+    exact = net.loss_and_grads
+
+    def infinite_gradient(Xb, yb):
+        loss, grads = exact(Xb, yb)
+        next(iter(grads[0].values()))[0, 0, 0] = np.inf
+        return loss, grads
+
+    monkeypatch.setattr(net, "loss_and_grads", infinite_gradient)
+    cfg = TrainConfig(gamma=0.5, max_epochs=800, learning_rate=0.01, batch_size=120, seed=0)
     with pytest.raises(TrainingDiverged, match="non-finite coefficients") as info:
         train(net, X, y, cfg)
     assert info.value.epoch == 1
@@ -351,10 +362,75 @@ def test_train_is_deterministic():
 
 
 def test_train_config_validation():
-    with pytest.raises(ValueError):
-        TrainConfig(gamma=0.0)
-    with pytest.raises(ValueError):
-        TrainConfig(gamma=-2.0)
+    for bad in (
+        {"gamma": 0.0},
+        {"gamma": -2.0},
+        {"gamma": np.nan},
+        {"gamma": np.inf},
+        {"batch_size": 0},
+        {"batch_size": -5},
+        {"max_epochs": 0},
+        {"max_epochs": -1},
+        {"learning_rate": 0.0},
+        {"learning_rate": -1.0},
+        {"learning_rate": np.inf},
+        {"learning_rate": np.nan},
+        {"target_fraction": 0.0},
+        {"target_fraction": 1.5},
+        {"target_fraction": np.nan},
+    ):
+        field = next(iter(bad))
+        with pytest.raises(ValueError, match=field):
+            TrainConfig(**{"gamma": 1.0, **bad})
+
+
+def test_train_config_accepts_edge_values():
+    cfg = TrainConfig(gamma=1.0, max_epochs=1, batch_size=1, learning_rate=1e-12, target_fraction=1.0)
+    assert cfg.target_fraction == 1.0
+
+
+@pytest.mark.parametrize(
+    "kind,N,channels",
+    [("cyclic", 1, (6, 3)), ("cyclic", 8, (2, 1)), ("dihedral", 4, (2, 1)), ("quaternion", 8, (2, 1))],
+)
+def test_adam_step_matches_reference_expression(kind, N, channels):
+    """train's in-place Adam gives exactly the coefficients of the plain expression."""
+    _, net = _small_net(kind, N, channels=channels, seed=4)
+    _, ref = _small_net(kind, N, channels=channels, seed=4)
+    rng = np.random.default_rng(12)
+    X = rng.standard_normal((40, net.input_rep.dim))
+    y = rng.integers(0, 2, 40)
+    cfg = TrainConfig(gamma=1e6, max_epochs=2, learning_rate=0.05, batch_size=16, seed=3)
+    with pytest.raises(MarginNotReached):
+        train(net, X, y, cfg)
+
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+    moments = [{pid: (np.zeros_like(a), np.zeros_like(a)) for pid, a in layer.coefficients.items()}
+               for layer in ref.layers]
+    order_rng = np.random.default_rng(cfg.seed)
+    step = 0
+    for _ in range(cfg.max_epochs):
+        order = order_rng.permutation(len(X))
+        for start in range(0, len(X), cfg.batch_size):
+            idx = order[start : start + cfg.batch_size]
+            _, grads = ref.loss_and_grads(X[idx], y[idx])
+            step += 1
+            corr1, corr2 = 1.0 - beta1**step, 1.0 - beta2**step
+            for layer, moment, gdict in zip(ref.layers, moments, grads):
+                for pid, g in gdict.items():
+                    m1, m2 = moment[pid]
+                    m1 *= beta1
+                    m1 += (1.0 - beta1) * g
+                    m2 *= beta2
+                    m2 += (1.0 - beta2) * (g * g)
+                    layer.coefficients[pid] -= cfg.learning_rate * (
+                        (m1 / corr1) / (np.sqrt(m2 / corr2) + eps)
+                    )
+                layer.mark_dirty()
+    assert step == 6
+    for layer, expected in zip(net.layers, ref.layers):
+        for pid, coef in layer.coefficients.items():
+            assert np.array_equal(coef, expected.coefficients[pid]), (kind, pid)
 
 
 def test_train_rejects_bad_labels():
@@ -437,6 +513,19 @@ def _saved_checkpoint(tmp_path):
 def _load_edited(path, data):
     path.write_text(json.dumps(data))
     return load_checkpoint(str(path))
+
+
+def test_load_rejects_non_orthogonal_input_basis(tmp_path):
+    """A D4 input basis scaled by 2 would load as another network."""
+    G, net = _small_net("dihedral", 4, channels=(2,), seed=3)
+    path = tmp_path / "model.json"
+    save_checkpoint(str(path), net, {})
+    data = json.loads(path.read_text())
+    Q = data["architecture"]["input_rep"]["Q"]
+    assert Q != "identity"
+    data["architecture"]["input_rep"]["Q"] = [2.0 * q for q in Q]
+    with pytest.raises(ValueError, match="not orthogonal"):
+        _load_edited(path, data)
 
 
 @pytest.mark.parametrize("version", [None, 1, 2, 4, "3"])

@@ -88,3 +88,17 @@ def test_kernels_match_per_block_sums(m_out, m_in, c, d):
     np.testing.assert_allclose(
         kernels.project_coefficients(grad, basis), projected, atol=1e-13
     )
+
+
+@pytest.mark.parametrize("m_out,m_in", [(1, 1), (3, 5), (64, 33)])
+@pytest.mark.parametrize("unit", [True, False])
+def test_one_dimensional_kernels_equal_einsum(m_out, m_in, unit):
+    """A (1, 1, 1) basis takes one elementwise product, the einsum's only term."""
+    rng = np.random.default_rng(6)
+    basis = np.ones((1, 1, 1)) if unit else rng.standard_normal((1, 1, 1))
+    coeffs = rng.standard_normal((m_out, m_in, 1))
+    grad = rng.standard_normal((m_out, m_in))
+    expanded = np.einsum("kpq,jik->pjqi", basis, coeffs).reshape(m_out, m_in)
+    projected = np.einsum("pjqi,kpq->jik", grad.reshape(1, m_out, 1, m_in), basis)
+    assert np.array_equal(kernels.expand_coefficients(coeffs, basis), expanded)
+    assert np.array_equal(kernels.project_coefficients(grad, basis), projected)
