@@ -389,12 +389,18 @@ def test_train_config_accepts_edge_values():
     assert cfg.target_fraction == 1.0
 
 
+@pytest.mark.parametrize("chunk", [None, 5])
 @pytest.mark.parametrize(
     "kind,N,channels",
     [("cyclic", 1, (6, 3)), ("cyclic", 8, (2, 1)), ("dihedral", 4, (2, 1)), ("quaternion", 8, (2, 1))],
 )
-def test_adam_step_matches_reference_expression(kind, N, channels):
-    """train's in-place Adam gives exactly the coefficients of the plain expression."""
+def test_adam_step_matches_reference_expression(kind, N, channels, chunk, monkeypatch):
+    """train's in-place Adam gives exactly the coefficients of the plain expression.
+
+    With a 5-element chunk every array is updated over several chunks.
+    """
+    if chunk is not None:
+        monkeypatch.setattr(equivariant, "ADAM_CHUNK", chunk)
     _, net = _small_net(kind, N, channels=channels, seed=4)
     _, ref = _small_net(kind, N, channels=channels, seed=4)
     rng = np.random.default_rng(12)
