@@ -4,10 +4,11 @@ Implements the margin-based bound for equivariant networks, its
 specialization to group-convolutional architectures, and a coarser
 norm-based bound whose only group dependence is an explicit 1/sqrt|H|
 prefactor, together with the supporting quantities: per-layer spectral
-and Fourier norms, the multiplicity factor M(l, eta), the posterior
-width sigma0, the KL term, the combinatorial factor xi(m), spectral
-tail thresholds for random equivariant matrices, and the perturbation
-inequality right-hand side.
+and Fourier norms, the multiplicity factor M(l, eta), the combinatorial
+factor xi(m), spectral tail thresholds for random equivariant matrices,
+and the perturbation inequality right-hand side.  `BoundInputs` caches
+each per-layer factor (norms, Fourier sums, multiplicity factors) once
+for every report that reads it.
 
 Two textual variants of the main bound exist; the canonical mode uses
 the product of squared spectral norms and a margin-free confidence
@@ -26,7 +27,7 @@ import numpy as np
 from scipy.special import gammaln, logsumexp
 
 from .equivariant import EquivariantNetwork
-from .irreps import irreps_of, multiplicities
+from .irreps import irreps_of, shared_irreps
 
 __all__ = [
     "BoundInputs",
@@ -38,11 +39,9 @@ __all__ = [
     "csv_header",
     "fourier_frobenius_sum",
     "groupconv_bound",
-    "kl_term",
     "m_factor",
     "main_bound",
     "perturbation_rhs",
-    "posterior_sigma",
     "report_to_csv_row",
     "report_to_json",
     "spectral_norm",
@@ -51,7 +50,12 @@ __all__ = [
 ]
 
 
-def spectral_norm(W: np.ndarray, tol: float = 1e-10) -> float:
+# Power iteration stops once a step moves the estimate by at most this,
+# relative to max(estimate, 1).
+POWER_ITERATION_TOL = 1e-10
+
+
+def spectral_norm(W: np.ndarray) -> float:
     """Largest singular value, deterministic.
 
     Small matrices use a dense decomposition; larger ones use power
@@ -77,7 +81,7 @@ def spectral_norm(W: np.ndarray, tol: float = 1e-10) -> float:
         if nv == 0.0:
             return 0.0
         v /= nv
-        if abs(nv - sigma) <= tol * max(nv, 1.0):
+        if abs(nv - sigma) <= POWER_ITERATION_TOL * max(nv, 1.0):
             return float(nv)
         sigma = nv
     if max(W.shape) <= 4096:
@@ -92,28 +96,25 @@ def fourier_frobenius_sum(layer) -> float:
     Frobenius norm sqrt(dim), this equals the plain sum of squared
     coefficients.
     """
-    return layer.coefficient_sq_sum()
+    return float(sum(np.sum(a * a) for a in layer.coefficients.values()))
 
 
 def m_factor(net: EquivariantNetwork, l: int, eta: float) -> float:
     """Multiplicity factor M(l, eta) for layer l (1-based).
 
     M = log(total multiplicity of all layer outputs / (1 - eta)) times
-    the largest 5 * m_in,psi * m_out,psi * c_psi over shared irreps.
+    the largest 5 * m_in,psi * m_out,psi * c_psi over the layer's shared
+    irreps, c_psi being the size of psi's intertwiner basis.
     """
     if not 0 < eta < 1:
         raise ValueError("eta must lie in (0, 1)")
     if not 1 <= l <= net.depth:
         raise ValueError(f"layer index {l} out of range")
-    reps = net.reps
-    total = sum(mult for rep in reps[1:] for _, mult in rep.blocks)
-    mults_in = multiplicities(reps[l - 1])
-    mults_out = multiplicities(reps[l])
-    worst = 0.0
-    for psi in irreps_of(net.group):
-        m_in = mults_in.get(psi.id, 0)
-        m_out = mults_out.get(psi.id, 0)
-        worst = max(worst, 5.0 * m_in * m_out * psi.type_c)
+    total = sum(mult for rep in net.reps[1:] for _, mult in rep.blocks)
+    worst = max(
+        (5.0 * b.m_in * b.m_out * b.basis.shape[0] for b in net.layers[l - 1].shared),
+        default=0.0,
+    )
     return math.log(total / (1.0 - eta)) * worst
 
 
@@ -157,16 +158,7 @@ def _layer_norms(net: EquivariantNetwork) -> tuple[list[float], list[float]]:
 
 
 def _sigma0(
-    net: EquivariantNetwork, specs: list[float], gamma: float, B: float, eta: float
-) -> float:
-    L = net.depth
-    beta = float(np.prod(specs)) ** (1.0 / L)
-    sum_sqrt_m = sum(math.sqrt(m_factor(net, l, eta)) for l in range(1, L + 1))
-    return gamma / (4.0 * math.e * B * beta ** (L - 1) * sum_sqrt_m)
-
-
-def posterior_sigma(
-    net: EquivariantNetwork, gamma: float, B: float, eta: float
+    specs: list[float], m_factors: tuple[float, ...], gamma: float, B: float
 ) -> float:
     """Posterior width sigma0 = gamma / (4 e B beta^(L-1) sum_l sqrt(M_l)).
 
@@ -174,18 +166,10 @@ def posterior_sigma(
     notional rescaling that equalizes them without changing the
     network function.
     """
-    return _sigma0(net, _layer_norms(net)[0], gamma, B, eta)
-
-
-def kl_term(net: EquivariantNetwork, sigma0: float) -> float:
-    """KL divergence between posterior and prior: sum_l S_l / (2 sigma0^2)."""
-    return _kl([fourier_frobenius_sum(layer) for layer in net.layers], sigma0)
-
-
-def _kl(s_sums: list[float], sigma0: float) -> float:
-    if sigma0 <= 0:
-        raise ValueError("sigma0 must be positive")
-    return sum(s_sums) / (2.0 * sigma0**2)
+    L = len(specs)
+    beta = float(np.prod(specs)) ** (1.0 / L)
+    sum_sqrt_m = sum(math.sqrt(v) for v in m_factors)
+    return gamma / (4.0 * math.e * B * beta ** (L - 1) * sum_sqrt_m)
 
 
 def perturbation_rhs(
@@ -236,16 +220,10 @@ def tail_threshold(in_rep, out_rep, sigma: float, t: float) -> TailBounds:
     """
     if sigma <= 0 or t <= 0:
         raise ValueError("sigma and t must be positive")
-    mults_in = multiplicities(in_rep)
-    mults_out = multiplicities(out_rep)
     worst = 0.0
     worst_tight = 0.0
     mult_total = 0
-    for psi in irreps_of(in_rep.group):
-        m_in = mults_in.get(psi.id, 0)
-        m_out = mults_out.get(psi.id, 0)
-        if m_in == 0 or m_out == 0:
-            continue
+    for psi, _, m_in, _, m_out in shared_irreps(in_rep, out_rep):
         c = psi.type_c
         worst = max(worst, 5.0 * m_in * m_out * c * t)
         worst_tight = max(
@@ -287,13 +265,22 @@ class BoundInputs:
         """Per-layer S_l of `net` (see fourier_frobenius_sum), taken on first use."""
         return tuple(fourier_frobenius_sum(layer) for layer in self.net.layers)
 
+    @cached_property
+    def m_factors(self) -> tuple[float, ...]:
+        """Per-layer M(l, eta) of `net` (see m_factor), taken on first use."""
+        return tuple(m_factor(self.net, l, self.eta) for l in range(1, self.net.depth + 1))
+
     def __post_init__(self) -> None:
         if self.m < 1:
             raise ValueError("m must be >= 1")
-        if self.gamma <= 0:
-            raise ValueError("gamma must be positive")
-        if self.B <= 0:
-            raise ValueError("B must be positive")
+        # The bound squares both: a square that underflows to 0 or overflows
+        # would divide by zero, raise OverflowError or give a meaningless bound.
+        for name in ("gamma", "B"):
+            v = getattr(self, name)
+            if not (v > 0 and 0.0 < v * v < math.inf):
+                raise ValueError(
+                    f"{name} must be finite and positive with a finite nonzero square, got {v}"
+                )
         if not 0 < self.eta < 1:
             raise ValueError("eta must lie in (0, 1)")
         if not 0 < self.delta < 1:
@@ -346,32 +333,38 @@ def _confidence_terms(inputs: BoundInputs, L: int) -> tuple[float, float, float]
     return xi_m, log_arg / (2.0 * m), log_arg / (2.0 * inputs.gamma**2 * m)
 
 
-def main_bound(inputs: BoundInputs) -> BoundReport:
-    """Margin bound from the layerwise multiplicity factors.
-
-    Fills every shared intermediate of the report; the group-conv and
-    norm-only bounds are added by their own functions (see
-    compute_report).
-    """
-    net = inputs.net
-    L = net.depth
-    specs, fros = inputs.norms
-    s_sums = inputs.fourier_sums
-    m_facs = [m_factor(net, l, inputs.eta) for l in range(1, L + 1)]
+def _lead(inputs: BoundInputs, eta: float, complexity: float) -> float:
+    """The main and group-conv bounds' lead term, in this order of operations:
+    32 e^4 B^2 prod_l spec_l^2 / (gamma^2 m eta) * complexity * sum_l S_l / spec_l^2."""
+    specs, _ = inputs.norms
     prod_spec_sq = float(np.prod([s * s for s in specs]))
-    sum_sqrt_m = sum(math.sqrt(v) for v in m_facs)
-    sum_ratio = sum(s / (w * w) for s, w in zip(s_sums, specs))
-    lead = (
+    sum_ratio = sum(s / (w * w) for s, w in zip(inputs.fourier_sums, specs))
+    return (
         32.0
         * math.e**4
         * inputs.B**2
         * prod_spec_sq
-        / (inputs.gamma**2 * inputs.m * inputs.eta)
-        * sum_sqrt_m**2
+        / (inputs.gamma**2 * inputs.m * eta)
+        * complexity
         * sum_ratio
     )
-    xi_m, conf, conf_literal = _confidence_terms(inputs, L)
-    sigma0 = _sigma0(net, specs, inputs.gamma, inputs.B, inputs.eta)
+
+
+def main_bound(inputs: BoundInputs) -> BoundReport:
+    """Margin bound from the layerwise multiplicity factors.
+
+    Its complexity is (sum_l sqrt(M_l))^2.  Fills every shared
+    intermediate of the report, with sigma0 and the KL term
+    sum_l S_l / (2 sigma0^2); the group-conv and norm-only bounds are
+    added by their own functions (see compute_report).
+    """
+    net = inputs.net
+    specs, fros = inputs.norms
+    s_sums = inputs.fourier_sums
+    m_facs = inputs.m_factors
+    lead = _lead(inputs, inputs.eta, sum(math.sqrt(v) for v in m_facs) ** 2)
+    xi_m, conf, conf_literal = _confidence_terms(inputs, net.depth)
+    sigma0 = _sigma0(specs, m_facs, inputs.gamma, inputs.B)
     return BoundReport(
         group_kind=net.group.kind,
         N=net.group.N,
@@ -387,11 +380,11 @@ def main_bound(inputs: BoundInputs) -> BoundReport:
         generalization_error=inputs.test_err - inputs.train_err,
         spectral_norms=tuple(specs),
         frobenius_norms=tuple(fros),
-        fourier_frobenius_sums=tuple(s_sums),
-        m_factors=tuple(m_facs),
+        fourier_frobenius_sums=s_sums,
+        m_factors=m_facs,
         xi_m=xi_m,
         sigma0=sigma0,
-        kl=_kl(s_sums, sigma0),
+        kl=sum(s_sums) / (2.0 * sigma0**2),
         bound_main=inputs.train_margin_loss + math.sqrt(lead + conf),
         bound_main_as_written=inputs.train_margin_loss
         + math.sqrt(lead + conf_literal),
@@ -411,29 +404,22 @@ class GroupConvTerms:
 def _channel_counts(net: EquivariantNetwork) -> list[int]:
     """Per-rep channel counts c_0..c_L of a group-convolutional net.
 
-    Hidden reps must be whole stacks of the regular representation;
-    the input's effective channel count rounds the densest irrep
-    occupancy up, and the output counts its trivial copies.
+    Each rep counts the fewest regular channels that hold its densest
+    irrep, max(1, ceil(max_psi m_psi c_psi / dim_psi)); hidden reps must
+    be exactly that many regular channels.
     """
-    G = net.group
-    reps = net.reps
+    irreps = irreps_of(net.group)
     counts = []
-    mults0 = multiplicities(reps[0])
-    c0 = max(
-        math.ceil(mults0.get(psi.id, 0) * psi.type_c / psi.dim)
-        for psi in irreps_of(G)
-    )
-    counts.append(max(c0, 1))
-    for rep in reps[1:-1]:
-        mults = multiplicities(rep)
-        c = mults.get("triv", 0)
-        for psi in irreps_of(G):
-            if mults.get(psi.id, 0) * psi.type_c != c * psi.dim:
-                raise ValueError(
-                    "hidden layers must be stacks of the regular representation"
-                )
+    for l, rep in enumerate(net.reps):
+        mults = dict(rep.blocks)
+        c = max(
+            1, max(math.ceil(mults.get(psi.id, 0) * psi.type_c / psi.dim) for psi in irreps)
+        )
+        if 0 < l < net.depth and any(
+            mults.get(psi.id, 0) * psi.type_c != c * psi.dim for psi in irreps
+        ):
+            raise ValueError("hidden layers must be stacks of the regular representation")
         counts.append(c)
-    counts.append(net.n_classes)
     return counts
 
 
@@ -447,29 +433,15 @@ def groupconv_bound(inputs: BoundInputs) -> GroupConvTerms:
     reported for reference.
     """
     net = inputs.net
-    G = net.group
     L = net.depth
     counts = _channel_counts(net)
-    irreps = irreps_of(G)
+    irreps = irreps_of(net.group)
     D_H = max(psi.dim**2 / psi.type_c for psi in irreps)
     E_H = sum(psi.dim / psi.type_c for psi in irreps)
-    specs, _ = inputs.norms
-    s_sums = inputs.fourier_sums
-    prod_spec_sq = float(np.prod([s * s for s in specs]))
-    sum_ratio = sum(s / (w * w) for s, w in zip(s_sums, specs))
     sum_c_out = sum(counts[1:])
     sqrt_cc = sum(math.sqrt(counts[l - 1] * counts[l]) for l in range(1, L + 1))
     complexity = 5.0 * D_H * math.log(2.0 * E_H * sum_c_out) * sqrt_cc**2
-    eta = 0.5
-    lead = (
-        32.0
-        * math.e**4
-        * inputs.B**2
-        * prod_spec_sq
-        / (inputs.gamma**2 * inputs.m * eta)
-        * complexity
-        * sum_ratio
-    )
+    lead = _lead(inputs, 0.5, complexity)
     _, conf, _ = _confidence_terms(inputs, L)
     Q_H = sqrt_cc**2 * D_H * math.log(2.0 * E_H * sum(counts[:-1]))
     return GroupConvTerms(

@@ -134,14 +134,11 @@ def _cmd_gen_data(args: argparse.Namespace) -> int:
 
 
 def _build_net(spec, group: tuple[str, int], widths: list[int], seed: int):
-    """The network one cell trains: regular hidden stacks of `group`.
-
-    Returns the net and its hidden channel counts.
-    """
+    """The network one cell trains: regular hidden stacks of `group`."""
     G = build_group(*group)
     input_rep = input_rep_for(spec, G)
     channels = [channels_for_width(G, w) for w in widths]
-    return build_network(G, input_rep, channels, 2, seed=seed), channels
+    return build_network(G, input_rep, channels, 2, seed=seed)
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
@@ -153,7 +150,8 @@ def _cmd_train(args: argparse.Namespace) -> int:
         seed=_derive_seed(args.seed, "shuffle"),
     )
     spec, train_set = load_dataset(args.data)
-    net, channels = _build_net(spec, _parse_group(args.group), args.widths, args.seed)
+    net = _build_net(spec, _parse_group(args.group), args.widths, args.seed)
+    channels = list(net.hidden_channels)
     result = train(net, train_set.X, train_set.y, cfg)
     print(
         f"trained in {result.epochs} epochs, "
@@ -484,10 +482,15 @@ def run_sweep(cfg: SweepConfig) -> dict:
         learning_rate=cfg.learning_rate,
         batch_size=cfg.batch_size,
     )
+    # A group that cannot act on the data must fail here, not after the
+    # cells before it have trained.
+    first = (cfg.sizes[0], cfg.m_grid[0], cfg.seeds[0])
+    dataset_cache: dict = {first: _sweep_datasets(cfg, *first)}
+    for group in cfg.groups:
+        input_rep_for(dataset_cache[first][0], build_group(*group))
     os.makedirs(cfg.out_dir, exist_ok=True)
     chash = cfg.config_hash()
     rows = []
-    dataset_cache: dict = {}
     for size in cfg.sizes:
         for m in cfg.m_grid:
             for seed in cfg.seeds:
@@ -496,7 +499,7 @@ def run_sweep(cfg: SweepConfig) -> dict:
                     dataset_cache[key] = _sweep_datasets(cfg, size, m, seed)
                 spec, train_set, test_set = dataset_cache[key]
                 for kind, N in cfg.groups:
-                    net, channels = _build_net(
+                    net = _build_net(
                         spec, (kind, N), cfg.widths, _derive_seed(seed, f"model:{kind}:{N}")
                     )
                     tcfg = replace(base_tcfg, seed=_derive_seed(seed, f"shuffle:{kind}:{N}"))
@@ -518,7 +521,7 @@ def run_sweep(cfg: SweepConfig) -> dict:
                             "symmetry": cfg.symmetry,
                             "size": size,
                             "widths": "x".join(str(w) for w in cfg.widths),
-                            "channels": "x".join(str(c) for c in channels),
+                            "channels": "x".join(str(c) for c in net.hidden_channels),
                             "seed": seed,
                             "epochs": epochs,
                             "margin_reached": int(reached),

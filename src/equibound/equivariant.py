@@ -30,7 +30,10 @@ nothing and gives the textbook expression's values bit for bit.
 Networks alternate these layers with pointwise ReLU applied in the
 represented coordinates (the group domain for regular-representation
 features), carry no biases, and end in a trivial-irrep-only layer so
-logits are invariant.
+logits are invariant.  A network is its list of chained layers,
+`EquivariantNetwork(layers)`: its group, hidden channel counts and class
+count are read from the layers' reps.  Which irreps a layer's input and
+output share, and where, comes from `irreps.shared_irreps`.
 """
 
 from __future__ import annotations
@@ -49,6 +52,7 @@ from .irreps import (
     regular_representation,
     rep_from_json,
     rep_to_json,
+    shared_irreps,
     stack_rep,
     trivial_stack,
 )
@@ -140,25 +144,18 @@ class EquivariantLayer:
             raise ValueError("layer reps must share the same group")
         self.in_rep = in_rep
         self.out_rep = out_rep
-        G = in_rep.group
-        shared = []
-        for psi, out_off, m_out in out_rep.layout:
-            m_in = in_rep.multiplicity(psi.id)
-            if m_in == 0:
-                continue
-            in_off = next(off for p, off, _ in in_rep.layout if p.id == psi.id)
-            shared.append(
-                _SharedBlock(
-                    irrep_id=psi.id,
-                    dim=psi.dim,
-                    basis=intertwiner_basis(G, psi),
-                    m_in=m_in,
-                    m_out=m_out,
-                    in_offset=in_off,
-                    out_offset=out_off,
-                )
+        self.shared = tuple(
+            _SharedBlock(
+                irrep_id=psi.id,
+                dim=psi.dim,
+                basis=intertwiner_basis(in_rep.group, psi),
+                m_in=m_in,
+                m_out=m_out,
+                in_offset=in_offset,
+                out_offset=out_offset,
             )
-        self.shared = tuple(shared)
+            for psi, in_offset, m_in, out_offset, m_out in shared_irreps(in_rep, out_rep)
+        )
         self.coefficients = {
             b.irrep_id: np.zeros((b.m_out, b.m_in, b.basis.shape[0]))
             for b in self.shared
@@ -243,10 +240,6 @@ class EquivariantLayer:
         )
         return U, self.out_rep.from_block(Z)
 
-    def coefficient_sq_sum(self) -> float:
-        """Sum of squared Fourier coefficients over all blocks."""
-        return float(sum(np.sum(a * a) for a in self.coefficients.values()))
-
     def __repr__(self) -> str:
         return (
             f"EquivariantLayer({self.in_rep.dim}->{self.out_rep.dim}, "
@@ -255,21 +248,24 @@ class EquivariantLayer:
 
 
 class EquivariantNetwork:
-    """An invariant classifier: equivariant layers with ReLU in between."""
+    """An invariant classifier: equivariant layers with ReLU in between.
 
-    def __init__(
-        self,
-        group: FiniteGroup,
-        layers: list[EquivariantLayer],
-        hidden_channels: tuple[int, ...],
-        n_classes: int,
-    ):
+    Each layer's input rep must be the previous layer's output rep; the
+    group, hidden channel counts and class count are read from the reps.
+    """
+
+    def __init__(self, layers: list[EquivariantLayer]):
         if not layers:
             raise ValueError("network needs at least one layer")
-        self.group = group
+        for l in range(1, len(layers)):
+            if layers[l].in_rep is not layers[l - 1].out_rep:
+                raise ValueError(
+                    f"layer {l}'s input rep is not layer {l - 1}'s output rep"
+                )
         self.layers = layers
-        self.hidden_channels = tuple(hidden_channels)
-        self.n_classes = n_classes
+        self.group = layers[0].group
+        self.hidden_channels = tuple(layer.out_rep.channels for layer in layers[:-1])
+        self.n_classes = layers[-1].out_rep.dim
 
     @property
     def input_rep(self) -> RepSpec:
@@ -400,8 +396,6 @@ def build_network(
         raise ValueError("channel counts must be >= 1")
     if n_classes < 2:
         raise ValueError("need at least two classes")
-    if input_rep.group is not G:
-        raise ValueError("input rep belongs to a different group")
     reg = regular_representation(G)
     reps = [input_rep]
     reps += [stack_rep(reg, int(c)) for c in hidden_channels]
@@ -410,12 +404,10 @@ def build_network(
     rng = np.random.default_rng(seed)
     for layer in layers:
         std = 1.0 / np.sqrt(layer.in_rep.dim)
-        for b in layer.shared:
-            layer.coefficients[b.irrep_id] = rng.normal(
-                0.0, std, size=(b.m_out, b.m_in, b.basis.shape[0])
-            )
+        for pid, arr in layer.coefficients.items():
+            layer.coefficients[pid] = rng.normal(0.0, std, size=arr.shape)
         layer.mark_dirty()
-    return EquivariantNetwork(G, layers, tuple(int(c) for c in hidden_channels), n_classes)
+    return EquivariantNetwork(layers)
 
 
 def margins(net: EquivariantNetwork, X: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -444,8 +436,8 @@ def empirical_margin_loss(
 
     gamma = 0 gives the 0-1 training error.
     """
-    if gamma < 0:
-        raise ValueError("gamma must be nonnegative")
+    if not gamma >= 0:
+        raise ValueError(f"gamma must be nonnegative, got {gamma}")
     return float(np.mean(margins(net, X, y) <= gamma))
 
 

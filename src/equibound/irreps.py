@@ -17,7 +17,9 @@ kron(base_Q, I_channels): a stack's represented coordinates are
 base-coordinate-major with the channel fastest, and the same rule then
 places every irrep of the stack in one column range.  Changing basis is
 one batched matmul with base_Q; the dense Q is built only when an
-oracle reads it.
+oracle reads it.  `shared_irreps` pairs the block ranges of two reps;
+it is the one table from which a layer, the bound's multiplicity
+factors and the spectral tail read which irreps meet, and how often.
 """
 
 from __future__ import annotations
@@ -42,12 +44,12 @@ __all__ = [
     "inverse_fourier",
     "irrep_by_id",
     "irreps_of",
-    "multiplicities",
     "regular_matrices",
     "regular_representation",
     "rep_from_json",
     "rep_to_json",
     "restricted_frequency_rep",
+    "shared_irreps",
     "stack_rep",
     "trivial_stack",
 ]
@@ -276,12 +278,6 @@ class RepSpec:
             raise ValueError("block dimensions do not match Q size")
         return tuple(out)
 
-    def multiplicity(self, irrep_id: str) -> int:
-        for pid, mult in self.blocks:
-            if pid == irrep_id:
-                return mult
-        return 0
-
     def block_diagonal(self, g: int) -> np.ndarray:
         """Materialize the block-diagonal matrix: kron(psi(g), I_mult) per block."""
         out = np.zeros((self.dim, self.dim))
@@ -320,9 +316,20 @@ class RepSpec:
         return f"RepSpec(group={self.group!r}, blocks={self.blocks}, dim={self.dim})"
 
 
-def multiplicities(rep: RepSpec) -> dict[str, int]:
-    """Return the irrep multiplicities of a rep as a dict keyed by irrep id."""
-    return {pid: mult for pid, mult in rep.blocks}
+def shared_irreps(
+    in_rep: RepSpec, out_rep: RepSpec
+) -> tuple[tuple[Irrep, int, int, int, int], ...]:
+    """(psi, in_offset, m_in, out_offset, m_out) per irrep in both reps.
+
+    In `out_rep`'s block order, irreps of positive multiplicity in both
+    only; offsets are the first block column in each rep (see `layout`).
+    """
+    ins = {psi.id: (offset, mult) for psi, offset, mult in in_rep.layout if mult > 0}
+    return tuple(
+        (psi, *ins[psi.id], out_offset, m_out)
+        for psi, out_offset, m_out in out_rep.layout
+        if m_out > 0 and psi.id in ins
+    )
 
 
 def regular_matrices(G: FiniteGroup) -> np.ndarray:
@@ -384,19 +391,21 @@ def _check_representation(G: FiniteGroup, rho: np.ndarray, tol: float = 1e-8) ->
         raise ValueError("representation matrices must be orthogonal")
 
 
-def decompose_representation(
-    G: FiniteGroup,
-    rho: np.ndarray,
-    seed: int = 0,
-    tol: float = 1e-9,
-) -> RepSpec:
+# Seed of the random fallback in `decompose_representation`, and the
+# largest violation of the RepSpec invariants it accepts.
+DECOMPOSE_SEED = 0
+DECOMPOSE_TOL = 1e-9
+
+
+def decompose_representation(G: FiniteGroup, rho: np.ndarray) -> RepSpec:
     """Decompose an orthogonal representation of G into irrep blocks.
 
     Multiplicities come from character inner products; the basis is built
     by twirl-averaging seed matrices into intertwiners, sweeping the
     standard basis seeds deterministically first and falling back to
-    random seeds (drawn from `seed`) only if the sweep degenerates.
-    The result satisfies the RepSpec invariants within `tol`.
+    random seeds (drawn from DECOMPOSE_SEED) only if the sweep
+    degenerates.  The result satisfies the RepSpec invariants within
+    DECOMPOSE_TOL.
     """
     rho = np.asarray(rho, dtype=np.float64)
     _check_representation(G, rho)
@@ -405,7 +414,6 @@ def decompose_representation(
     chars = np.trace(rho, axis1=1, axis2=2)
 
     blocks = []
-    mults = {}
     total = 0
     for psi in irreps_of(G):
         raw = float(chars @ psi.characters) / (n_group * psi.type_c)
@@ -416,12 +424,11 @@ def decompose_representation(
             )
         if mult > 0:
             blocks.append((psi.id, mult))
-            mults[psi.id] = mult
             total += mult * psi.dim
     if total != dim:
         raise ValueError("multiplicities do not add up to the representation size")
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(DECOMPOSE_SEED)
     Q = np.empty((dim, dim))
     offset = 0
     for irrep_id, mult in blocks:
@@ -463,17 +470,17 @@ def decompose_representation(
         offset += mult * d
 
     rep = RepSpec(group=G, blocks=tuple(blocks), base_Q=_freeze(Q))
-    _validate_rep_spec(rep, rho, tol)
+    _validate_rep_spec(rep, rho)
     return rep
 
 
-def _validate_rep_spec(rep: RepSpec, rho: np.ndarray, tol: float) -> None:
+def _validate_rep_spec(rep: RepSpec, rho: np.ndarray) -> None:
     gram_err = np.max(np.abs(rep.Q @ rep.Q.T - np.eye(rep.dim)))
-    if gram_err > tol:
+    if gram_err > DECOMPOSE_TOL:
         raise RuntimeError(f"decomposition basis is not orthogonal ({gram_err:.2e})")
     for g in range(rep.group.order):
         err = np.max(np.abs(rep.Q.T @ rho[g] @ rep.Q - rep.block_diagonal(g)))
-        if err > tol:
+        if err > DECOMPOSE_TOL:
             raise RuntimeError(f"block diagonalization fails at element {g} ({err:.2e})")
 
 
@@ -574,7 +581,7 @@ def frequency_action(G: FiniteGroup, f: int, reflected: bool) -> np.ndarray:
 
 def restricted_frequency_rep(G: FiniteGroup, f: int, reflected: bool) -> RepSpec:
     """Decompose `frequency_action(G, f, reflected)` into irrep blocks."""
-    return decompose_representation(G, frequency_action(G, f, reflected), seed=0)
+    return decompose_representation(G, frequency_action(G, f, reflected))
 
 
 def direct_sum(parts: list[RepSpec]) -> RepSpec:

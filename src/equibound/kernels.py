@@ -1,12 +1,13 @@
 """The two coefficient kernels: expand to superblocks, project gradients back.
 
 Large dense matmuls are deliberately left to numpy/BLAS and do not live
-here.  A one-dimensional irrep has a single (1, 1) basis matrix, so both
-kernels are then one elementwise product by that scalar: one pass over
-the entries, where the general `einsum` and the k=1 GEMM scale them
-slowly.  The product is the single term those sums compute, so the
-values are the same bit for bit, except that a product of -0.0 keeps
-its sign where the sums, which start from +0.0, return +0.0.
+here.  A one-dimensional irrep has a single (1, 1) basis matrix, so
+expanding is one elementwise product by that scalar: one pass over the
+entries, where the general `einsum` scales them slowly.  The product is
+the single term the sum computes, so the values are the same bit for
+bit, except that a product of -0.0 keeps its sign where the sum, which
+starts from +0.0, returns +0.0.  For the basis [[1]], which every
+one-dimensional catalog irrep has, projecting is a reshape (a view).
 """
 
 from __future__ import annotations
@@ -44,13 +45,14 @@ def project_coefficients(grad: np.ndarray, basis: np.ndarray) -> np.ndarray:
 
     grad has shape (d*m_out, d*m_in); the result has shape (m_out, m_in, c)
     with entry [j, i, k] = sum_pq grad[p*m_out + j, q*m_in + i] basis[k, p, q],
-    the adjoint of `expand_coefficients`.
+    the adjoint of `expand_coefficients`.  For the basis [[1]] the
+    result is a view of `grad`.
     """
     c, d, _ = basis.shape
     m_out = grad.shape[0] // d
     m_in = grad.shape[1] // d
-    if basis.shape == (1, 1, 1):
-        return grad.reshape(m_out, m_in, 1) * basis[0, 0, 0]
+    if basis.shape == (1, 1, 1) and basis[0, 0, 0] == 1.0:
+        return grad.reshape(m_out, m_in, 1)
     # The basis is the left operand, so the product's long side is the
     # block count: with the blocks on the left, one-dimensional irreps
     # took 2-3x longer.

@@ -24,8 +24,8 @@ from .irreps import (
     intertwiner_basis,
     inverse_fourier,
     irreps_of,
-    multiplicities,
     regular_matrices,
+    shared_irreps,
 )
 
 __all__ = [
@@ -265,14 +265,8 @@ def mc_tail_check(
     """
     G = in_rep.group
     rng = np.random.default_rng(seed)
-    mults_in = multiplicities(in_rep)
-    mults_out = multiplicities(out_rep)
     norms = np.zeros(trials)
-    for psi in irreps_of(G):
-        m_in = mults_in.get(psi.id, 0)
-        m_out = mults_out.get(psi.id, 0)
-        if m_in == 0 or m_out == 0:
-            continue
+    for psi, _, m_in, _, m_out in shared_irreps(in_rep, out_rep):
         basis = intertwiner_basis(G, psi)
         coeffs = rng.normal(0.0, sigma, size=(trials, m_out, m_in, basis.shape[0]))
         blocks = np.einsum("tjik,kpq->tjpiq", coeffs, basis).reshape(
@@ -338,10 +332,8 @@ def mc_perturbation_check(
         draws = []
         for layer in net.layers:
             coeffs = {
-                b.irrep_id: rng.normal(
-                    0.0, sigma, size=(b.m_out, b.m_in, b.basis.shape[0])
-                )
-                for b in layer.shared
+                pid: rng.normal(0.0, sigma, size=arr.shape)
+                for pid, arr in layer.coefficients.items()
             }
             perturbation = EquivariantLayer(layer.in_rep, layer.out_rep)
             perturbation.set_coefficients(coeffs)

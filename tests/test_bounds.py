@@ -14,11 +14,9 @@ from equibound.bounds import (
     csv_header,
     fourier_frobenius_sum,
     groupconv_bound,
-    kl_term,
     m_factor,
     main_bound,
     perturbation_rhs,
-    posterior_sigma,
     report_to_csv_row,
     report_to_json,
     spectral_norm,
@@ -37,7 +35,9 @@ from equibound.equivariant import (
 )
 from equibound.groups import build_group
 from equibound.irreps import (
+    direct_sum,
     group_circulant,
+    irreps_of,
     regular_representation,
     restricted_frequency_rep,
     stack_rep,
@@ -64,7 +64,7 @@ def _all_regular_net(kind, N, counts, seed=0):
         layer.set_coefficients(
             {pid: rng.standard_normal(arr.shape) for pid, arr in layer.coefficients.items()}
         )
-    return G, EquivariantNetwork(G, layers, tuple(counts[1:-1]), counts[-1])
+    return G, EquivariantNetwork(layers)
 
 
 def _randomize(net, seed=0, scale=1.0):
@@ -245,6 +245,39 @@ def test_m_factor_eta_divergence():
     assert m_factor(net, 1, 1.0 - 1e-12) > 5 * base
 
 
+def _m_factor_reference(net, l, eta):
+    """M(l, eta) by a loop over the whole irrep catalog, from the reps alone."""
+    total = sum(mult for rep in net.reps[1:] for _, mult in rep.blocks)
+    mults_in = dict(net.reps[l - 1].blocks)
+    mults_out = dict(net.reps[l].blocks)
+    worst = 0.0
+    for psi in irreps_of(net.group):
+        worst = max(worst, 5.0 * mults_in.get(psi.id, 0) * mults_out.get(psi.id, 0) * psi.type_c)
+    return math.log(total / (1.0 - eta)) * worst
+
+
+@pytest.mark.parametrize("kind, N", [("cyclic", 1), ("cyclic", 5), ("cyclic", 8), ("dihedral", 4), ("quaternion", 8)])
+def test_m_factor_matches_catalog_loop(kind, N):
+    G = build_group(kind, N)
+    if kind == "quaternion":
+        inputs = (regular_representation(G), stack_rep(regular_representation(G), 2))
+    else:
+        reflected = kind == "dihedral"
+        inputs = (
+            restricted_frequency_rep(G, 1, reflected),
+            direct_sum([restricted_frequency_rep(G, f, reflected) for f in (0, 1, 2, 3)]),
+            trivial_stack(G, 3),
+        )
+    for inp in inputs:
+        net = build_network(G, inp, [3, 2], 2, seed=0)
+        for eta in (0.5, 0.2):
+            for l in range(1, net.depth + 1):
+                assert m_factor(net, l, eta) == _m_factor_reference(net, l, eta)
+        assert _inputs(net, eta=0.2).m_factors == tuple(
+            _m_factor_reference(net, l, 0.2) for l in range(1, net.depth + 1)
+        )
+
+
 def test_m_factor_validation():
     G, net = _regular_net()
     with pytest.raises(ValueError):
@@ -258,11 +291,11 @@ def test_m_factor_validation():
 # ----------------------------------------------------- sigma0 and KL term
 
 
-def test_posterior_sigma_formula():
+def test_report_sigma0_formula():
     G, net = _regular_net(seed=2)
     _randomize(net, seed=3)
     gamma, B, eta = 2.0, 1.5, 0.5
-    sigma = posterior_sigma(net, gamma, B, eta)
+    sigma = main_bound(_inputs(net, gamma=gamma, B=B, eta=eta)).sigma0
     specs = [spectral_norm(l.matrix) for l in net.layers]
     L = len(specs)
     beta = math.prod(specs) ** (1.0 / L)
@@ -271,28 +304,33 @@ def test_posterior_sigma_formula():
     assert sigma == pytest.approx(expected, rel=1e-12)
 
 
-def test_posterior_sigma_weight_scaling_homogeneity():
+def test_report_sigma0_weight_scaling_homogeneity():
     """Scaling every layer by lambda scales sigma0 by lambda^-(L-1)."""
     G, net = _regular_net(seed=4)
     _randomize(net, seed=5)
-    sigma1 = posterior_sigma(net, 1.0, 1.0, 0.5)
+    sigma1 = main_bound(_inputs(net, gamma=1.0, B=1.0, eta=0.5)).sigma0
     lam = 1.7
     for layer in net.layers:
         layer.set_coefficients(
             {pid: lam * co for pid, co in layer.coefficients.items()}
         )
-    sigma2 = posterior_sigma(net, 1.0, 1.0, 0.5)
+    sigma2 = main_bound(_inputs(net, gamma=1.0, B=1.0, eta=0.5)).sigma0
     assert sigma2 * lam ** (net.depth - 1) == pytest.approx(sigma1, rel=1e-10)
 
 
-def test_kl_term_is_sum_of_squares_over_2sigma2():
+def test_report_kl_is_sum_of_squares_over_2sigma2():
     G, net = _regular_net(seed=4)
     _randomize(net, seed=5)
-    sigma = 0.37
+    report = main_bound(_inputs(net))
     total = sum(fourier_frobenius_sum(l) for l in net.layers)
-    assert kl_term(net, sigma) == pytest.approx(total / (2 * sigma**2), rel=1e-12)
-    with pytest.raises(ValueError):
-        kl_term(net, 0.0)
+    assert report.kl == pytest.approx(total / (2 * report.sigma0**2), rel=1e-12)
+    # Scaling every layer by lambda scales S_l by lambda^2 and sigma0 by
+    # lambda^-(L-1), so the KL term by lambda^(2L).
+    lam = 1.3
+    for layer in net.layers:
+        layer.set_coefficients({pid: lam * co for pid, co in layer.coefficients.items()})
+    scaled = main_bound(_inputs(net)).kl
+    assert scaled == pytest.approx(report.kl * lam ** (2 * net.depth), rel=1e-10)
 
 
 # ------------------------------------------------------------- perturbation
@@ -411,7 +449,7 @@ def test_main_bound_identity_net_closed_form():
     two = trivial_stack(G, 2)
     layer = EquivariantLayer(two, two)
     layer.set_coefficients({"triv": np.eye(2)[:, :, None]})
-    net = EquivariantNetwork(G, [layer], (), 2)
+    net = EquivariantNetwork([layer])
     m = 100
     report = main_bound(
         BoundInputs(net=net, m=m, gamma=1.0, B=1.0, train_margin_loss=0.0)
@@ -466,13 +504,13 @@ def test_main_bound_scale_invariance_factorwise():
 def test_main_bound_rejects_zero_norm_layer():
     G = build_group("cyclic", 4)
     reg = regular_representation(G)
-    net = EquivariantNetwork(G, [EquivariantLayer(reg, reg)], (), 2)
+    net = EquivariantNetwork([EquivariantLayer(reg, reg)])
     with pytest.raises(ValueError):
         main_bound(_inputs(net))
     # Reps that share no irrep leave the layer without superblocks.
     disjoint = EquivariantLayer(trivial_stack(G, 2), restricted_frequency_rep(G, 1, False))
     assert disjoint.shared == ()
-    net = EquivariantNetwork(G, [disjoint], (), 2)
+    net = EquivariantNetwork([disjoint])
     with pytest.raises(ValueError, match="zero spectral norm"):
         main_bound(_inputs(net))
 
@@ -481,10 +519,14 @@ def test_bound_inputs_validation():
     G, net = _regular_net(seed=14)
     with pytest.raises(ValueError):
         _inputs(net, m=0)
-    with pytest.raises(ValueError):
-        _inputs(net, gamma=0.0)
-    with pytest.raises(ValueError):
-        _inputs(net, B=-1.0)
+    # Squares of 1e-300 underflow to 0, of 1e300 overflow.
+    for bad in (0.0, -1.0, math.nan, math.inf, 1e-300, 1e300):
+        with pytest.raises(ValueError, match="gamma must"):
+            _inputs(net, gamma=bad)
+        with pytest.raises(ValueError, match="B must"):
+            _inputs(net, B=bad)
+    with pytest.raises(ValueError, match="gamma"):
+        empirical_margin_loss(net, np.zeros((1, 4)), np.zeros(1, dtype=int), math.nan)
     with pytest.raises(ValueError):
         _inputs(net, eta=1.0)
     with pytest.raises(ValueError):
@@ -553,7 +595,7 @@ def test_train_margins_and_report_never_build_a_dense_basis():
 
 
 def test_report_reuses_inputs_terms_exactly():
-    """Sums and KL read once per inputs equal the public functions, bit for bit."""
+    """Sums, factors and KL read once per inputs equal the public functions, bit for bit."""
     G, net = _regular_net("cyclic", 4, channels=(2, 3), seed=35)
     _randomize(net, seed=36)
     inputs = _inputs(net, m=300)
@@ -561,7 +603,8 @@ def test_report_reuses_inputs_terms_exactly():
     assert report.fourier_frobenius_sums == tuple(
         fourier_frobenius_sum(layer) for layer in net.layers
     )
-    assert report.kl == kl_term(net, report.sigma0)
+    assert report.m_factors == tuple(m_factor(net, l, 0.5) for l in range(1, net.depth + 1))
+    assert report.kl == sum(report.fourier_frobenius_sums) / (2.0 * report.sigma0**2)
     assert report.xi_m == xi.__wrapped__(300)
     again = compute_report(inputs)
     assert report_to_csv_row(again) == report_to_csv_row(report)
@@ -615,7 +658,7 @@ def test_groupconv_rejects_non_regular_hidden():
         layer.set_coefficients(
             {pid: np.ones_like(co) for pid, co in layer.coefficients.items()}
         )
-    bad = EquivariantNetwork(G, layers, (1,), 2)
+    bad = EquivariantNetwork(layers)
     with pytest.raises(ValueError):
         groupconv_bound(_inputs(bad))
 

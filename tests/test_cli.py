@@ -233,6 +233,16 @@ def test_bound_non_orthogonal_input_basis_exit_2(pipeline, tmp_path, capsys):
     assert "not orthogonal" in capsys.readouterr().err
 
 
+def test_bound_non_finite_gamma_exit_2(pipeline, tmp_path, capsys):
+    """A NaN margin is refused before a report is written."""
+    out_csv = tmp_path / "nan.csv"
+    rc = main(["bound", "--model", pipeline["model"], "--data", pipeline["train"],
+               "--gamma", "nan", "--csv", str(out_csv)])
+    assert rc == 2
+    assert "gamma" in capsys.readouterr().err
+    assert not out_csv.exists()
+
+
 def test_train_margin_miss_exit_3(pipeline):
     rc = main(
         [
@@ -287,6 +297,23 @@ def test_sweep_divergence_writes_no_csv(tmp_path):
     )
     assert rc == 4
     assert not (tmp_path / "cli" / "rows.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "groups", [["cyclic:1", "cyclic:8", "quaternion"], ["cyclic:1", "cyclc:4"]]
+)
+def test_sweep_bad_group_exit_2_before_training(tmp_path, monkeypatch, groups):
+    """A group that cannot act on the data is refused before any cell trains."""
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("a cell trained before the grid was validated")
+
+    monkeypatch.setattr(cli, "train", no_training)
+    out = tmp_path / "out"
+    rc = main(["sweep", "--groups", *groups, "--max-epochs", "10", "--m-grid", "96",
+               "--seeds", "0", "--test-m", "100", "--out-dir", str(out)])
+    assert rc == 2
+    assert not (out / "rows.csv").exists()
 
 
 def test_sweep_unknown_config_key_exit_2(tmp_path):

@@ -8,6 +8,7 @@ import pytest
 from equibound import equivariant
 from equibound.equivariant import (
     EquivariantLayer,
+    EquivariantNetwork,
     MarginNotReached,
     TrainConfig,
     TrainingDiverged,
@@ -243,6 +244,30 @@ def test_network_reps_structure():
     assert dims == [2, 32, 16, 2]
     assert net.reps[-1].blocks == (("triv", 2),)
     assert net.depth == 3
+
+
+def test_network_is_read_from_its_layers():
+    """Group, hidden channels and class count come from the chained reps."""
+    G = build_group("dihedral", 4)
+    net = build_network(G, restricted_frequency_rep(G, 1, True), [3, 1, 2], 3, seed=0)
+    assert net.group is G
+    assert net.hidden_channels == (3, 1, 2)
+    assert net.n_classes == 3
+    again = EquivariantNetwork(net.layers)
+    assert again.group is G and again.hidden_channels == (3, 1, 2) and again.n_classes == 3
+
+
+def test_network_rejects_layers_that_do_not_chain():
+    G = build_group("cyclic", 4)
+    reg = regular_representation(G)
+    a = EquivariantLayer(reg, stack_rep(reg, 2))
+    with pytest.raises(ValueError, match="layer 1's input rep"):
+        # An equal but distinct rep does not chain: layers share rep objects.
+        EquivariantNetwork([a, EquivariantLayer(stack_rep(reg, 2), trivial_stack(G, 2))])
+    with pytest.raises(ValueError, match="layer 1's input rep"):
+        EquivariantNetwork([a, EquivariantLayer(reg, trivial_stack(G, 2))])
+    with pytest.raises(ValueError):
+        EquivariantNetwork([])
 
 
 # ------------------------------------------------------------ margins, loss

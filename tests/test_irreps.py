@@ -17,12 +17,12 @@ from equibound.irreps import (
     inverse_fourier,
     irrep_by_id,
     irreps_of,
-    multiplicities,
     regular_matrices,
     regular_representation,
     rep_from_json,
     rep_to_json,
     restricted_frequency_rep,
+    shared_irreps,
     stack_rep,
     trivial_stack,
 )
@@ -240,7 +240,7 @@ def test_regular_representation_consistency(kind, N):
     assert rep.dim == G.order
     # multiplicity of each irrep is dim/type
     for psi in irreps_of(G):
-        assert rep.multiplicity(psi.id) == psi.dim // psi.type_c
+        assert dict(rep.blocks)[psi.id] == psi.dim // psi.type_c
     # Q orthogonal and rho matches the permutation matrices
     np.testing.assert_allclose(rep.Q @ rep.Q.T, np.eye(G.order), atol=1e-12)
     mats = regular_matrices(G)
@@ -345,7 +345,7 @@ def test_group_circulant_shape_validation():
 def test_decompose_regular_representation():
     G = build_group("dihedral", 3)
     rep = decompose_representation(G, regular_matrices(G))
-    assert multiplicities(rep) == {"triv": 1, "sign": 1, "freq:1": 2}
+    assert dict(rep.blocks) == {"triv": 1, "sign": 1, "freq:1": 2}
 
 
 def test_decompose_conjugated_rep_recovers_multiplicities():
@@ -355,7 +355,7 @@ def test_decompose_conjugated_rep_recovers_multiplicities():
     R, _ = np.linalg.qr(rng.standard_normal((6, 6)))
     rho = np.einsum("ij,gjk,lk->gil", R, base, R)
     rep = decompose_representation(G, rho)
-    assert multiplicities(rep) == {"triv": 1, "freq:1": 1, "freq:2": 1, "sign": 1}
+    assert dict(rep.blocks) == {"triv": 1, "freq:1": 1, "freq:2": 1, "sign": 1}
     for g in range(G.order):
         np.testing.assert_allclose(rep.rho(g), rho[g], atol=1e-9)
 
@@ -396,10 +396,10 @@ def test_restricted_frequency_c4_f3_conjugate_basis():
 
 def test_restricted_frequency_aliasing():
     G = build_group("cyclic", 4)
-    assert multiplicities(restricted_frequency_rep(G, 0, False)) == {"triv": 2}
-    assert multiplicities(restricted_frequency_rep(G, 2, False)) == {"sign": 2}
-    assert multiplicities(restricted_frequency_rep(G, 4, False)) == {"triv": 2}
-    assert multiplicities(restricted_frequency_rep(G, 5, False)) == {"freq:1": 1}
+    assert dict(restricted_frequency_rep(G, 0, False).blocks) == {"triv": 2}
+    assert dict(restricted_frequency_rep(G, 2, False).blocks) == {"sign": 2}
+    assert dict(restricted_frequency_rep(G, 4, False).blocks) == {"triv": 2}
+    assert dict(restricted_frequency_rep(G, 5, False).blocks) == {"freq:1": 1}
 
 
 def test_restricted_frequency_matches_rotation_action():
@@ -447,7 +447,7 @@ def test_direct_sum_blocks_and_action():
     c = restricted_frequency_rep(G, 1, False)
     rep = direct_sum([a, b, c])
     assert rep.dim == 6
-    assert multiplicities(rep) == {"freq:1": 2, "freq:2": 1}
+    assert dict(rep.blocks) == {"freq:1": 2, "freq:2": 1}
     for g in range(G.order):
         expected = np.zeros((6, 6))
         expected[:2, :2] = a.rho(g)
@@ -464,7 +464,7 @@ def test_stack_rep_matches_kron():
         rep = stack_rep(base, 3)
         assert rep.dim == 3 * G.order
         for pid, mult in rep.blocks:
-            assert mult == 3 * base.multiplicity(pid)
+            assert mult == 3 * dict(base.blocks)[pid]
         mats = regular_matrices(G)
         for g in range(G.order):
             np.testing.assert_allclose(rep.rho(g), np.kron(mats[g], np.eye(3)), atol=1e-12)
@@ -479,6 +479,31 @@ def test_stack_of_stack_multiplies_channels():
         assert rep.channels == 6
         assert rep.blocks == stack_rep(base, 6).blocks
         np.testing.assert_array_equal(rep.Q, stack_rep(base, 6).Q)
+
+
+@pytest.mark.parametrize("kind,N", ALL_GROUPS)
+def test_shared_irreps_matches_catalog_loop(kind, N):
+    """Exactly the irreps with positive multiplicity in both reps, in catalog
+    order, at their layout offsets."""
+    G = build_group(kind, N)
+    reg = regular_representation(G)
+    reps = [reg, stack_rep(reg, 2), trivial_stack(G, 3)]
+    if kind != "quaternion":
+        freqs = [restricted_frequency_rep(G, f, kind == "dihedral") for f in range(4)]
+        reps += freqs[1:3] + [direct_sum(freqs)]
+    for in_rep in reps:
+        starts_in = {psi.id: (off, m) for psi, off, m in in_rep.layout}
+        for out_rep in reps:
+            starts_out = {psi.id: (off, m) for psi, off, m in out_rep.layout}
+            expected = [
+                (psi, *starts_in[psi.id], *starts_out[psi.id])
+                for psi in irreps_of(G)
+                if psi.id in starts_in and psi.id in starts_out
+            ]
+            got = shared_irreps(in_rep, out_rep)
+            assert [(p.id, *rest) for p, *rest in got] == [(p.id, *rest) for p, *rest in expected]
+            assert all(p is q for (p, *_), (q, *_) in zip(got, expected))
+            assert all(m_in > 0 and m_out > 0 for _, _, m_in, _, m_out in got)
 
 
 @pytest.mark.parametrize(

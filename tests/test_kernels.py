@@ -102,3 +102,21 @@ def test_one_dimensional_kernels_equal_einsum(m_out, m_in, unit):
     projected = np.einsum("pjqi,kpq->jik", grad.reshape(1, m_out, 1, m_in), basis)
     assert np.array_equal(kernels.expand_coefficients(coeffs, basis), expanded)
     assert np.array_equal(kernels.project_coefficients(grad, basis), projected)
+
+
+def test_unit_basis_projection_returns_the_gradient_itself():
+    """Every one-dimensional catalog irrep has the basis [[1]], for which the
+    projection is a reshape of the gradient, with no pass over it."""
+    from equibound.groups import build_group
+    from equibound.irreps import intertwiner_basis, irreps_of
+
+    for kind, N in (("cyclic", 1), ("cyclic", 4), ("dihedral", 4), ("quaternion", 8)):
+        G = build_group(kind, N)
+        for psi in irreps_of(G):
+            if psi.dim == 1:
+                assert np.array_equal(intertwiner_basis(G, psi), np.ones((1, 1, 1)))
+    grad = np.random.default_rng(7).standard_normal((6, 5))
+    out = kernels.project_coefficients(grad, np.ones((1, 1, 1)))
+    assert out.shape == (6, 5, 1)
+    assert np.shares_memory(out, grad)
+    assert np.array_equal(out[:, :, 0], grad)
