@@ -50,17 +50,19 @@ __all__ = [
 ]
 
 
-# Power iteration stops once a step moves the estimate by at most this,
-# relative to max(estimate, 1).
-POWER_ITERATION_TOL = 1e-10
+# Power iteration stops once the residual |W^T W v - rho v| of the unit
+# iterate v is at most this times rho = |W v|^2.  The residual bounds the
+# distance from rho to an eigenvalue of W^T W, and near the top one the
+# error in rho is of order residual^2 / spectral gap, far below this.
+POWER_ITERATION_TOL = 1e-6
 
 
 def spectral_norm(W: np.ndarray) -> float:
     """Largest singular value, deterministic.
 
     Small matrices use a dense decomposition; larger ones use power
-    iteration on W^T W from a seeded start with an iteration cap and a
-    dense fallback if the cap is hit.
+    iteration on W^T W from a seeded start, stopped by its residual, with
+    an iteration cap and a dense fallback if the cap is hit.
     """
     W = np.asarray(W, dtype=np.float64)
     if not np.all(np.isfinite(W)):
@@ -70,20 +72,15 @@ def spectral_norm(W: np.ndarray) -> float:
     rng = np.random.default_rng(0)
     v = rng.standard_normal(W.shape[1])
     v /= np.linalg.norm(v)
-    sigma = 0.0
     for _ in range(10000):
         w = W @ v
-        s = np.linalg.norm(w)
-        if s == 0.0:
+        rho = float(w @ w)
+        if rho == 0.0:
             return 0.0
-        v = W.T @ (w / s)
-        nv = np.linalg.norm(v)
-        if nv == 0.0:
-            return 0.0
-        v /= nv
-        if abs(nv - sigma) <= POWER_ITERATION_TOL * max(nv, 1.0):
-            return float(nv)
-        sigma = nv
+        g = W.T @ w
+        if np.linalg.norm(g - rho * v) <= POWER_ITERATION_TOL * rho:
+            return math.sqrt(rho)
+        v = g / np.linalg.norm(g)
     if max(W.shape) <= 4096:
         return float(np.linalg.svd(W, compute_uv=False)[0])
     raise RuntimeError("power iteration failed to converge")
@@ -96,7 +93,7 @@ def fourier_frobenius_sum(layer) -> float:
     Frobenius norm sqrt(dim), this equals the plain sum of squared
     coefficients.
     """
-    return float(sum(np.sum(a * a) for a in layer.coefficients.values()))
+    return float(sum(np.vdot(a, a) for a in layer.coefficients.values()))
 
 
 def m_factor(net: EquivariantNetwork, l: int, eta: float) -> float:
@@ -141,17 +138,22 @@ def xi(m: int) -> float:
 
 
 def _layer_norms(net: EquivariantNetwork) -> tuple[list[float], list[float]]:
-    """Spectral and Frobenius norms of every layer, read from its superblocks.
+    """Spectral and Frobenius norms of every layer, read from its Fourier side.
 
     W = Q_out S Q_in^T with orthogonal Q and S block-diagonal over irreps,
-    so |W|_2 is the largest superblock spectral norm and |W|_F is the root
-    of the summed squared superblock Frobenius norms.
+    so |W|_2 is the largest superblock spectral norm.  A superblock is
+    sum_t kron(basis_t, coef_t) with Frobenius-orthogonal basis matrices of
+    norm sqrt(dim), so |W|_F^2 = sum_psi dim_psi |coef_psi|^2.
     """
     specs, fros = [], []
     for layer in net.layers:
         blocks = layer.superblocks().values()
         specs.append(max((spectral_norm(b) for b in blocks), default=0.0))
-        fros.append(math.hypot(*(np.linalg.norm(b) for b in blocks)))
+        fro_sq = 0.0
+        for b in layer.shared:
+            a = layer.coefficients[b.irrep_id]
+            fro_sq += b.dim * np.vdot(a, a)
+        fros.append(math.sqrt(fro_sq))
     if any(s == 0.0 for s in specs):
         raise ValueError("a layer has zero spectral norm")
     return specs, fros
@@ -172,33 +174,24 @@ def _sigma0(
     return gamma / (4.0 * math.e * B * beta ** (L - 1) * sum_sqrt_m)
 
 
-def perturbation_rhs(
-    net: EquivariantNetwork,
-    perturbations: list[np.ndarray],
-    B: float,
-    specs: list[float] | None = None,
-) -> float:
+def perturbation_rhs(w_norms: list[float], u_norms: list[float], B: float) -> float:
     """Right side of the output-perturbation inequality.
 
-    Requires the admissibility condition |U_l| <= |W_l| / L for every
-    layer; outside it the inequality is not claimed and this raises.
-    Returns e * B * prod_l |W_l| * sum_l |U_l| / |W_l| (spectral norms).
-    `specs` holds the layer spectral norms |W_l| as `_layer_norms(net)`
-    gives them; they are computed when it is None.
+    `w_norms` and `u_norms` are the spectral norms |W_l| of the layers and
+    |U_l| of their perturbations.  Requires the admissibility condition
+    |U_l| <= |W_l| / L for every layer; outside it the inequality is not
+    claimed and this raises.  Returns e * B * prod_l |W_l| * sum_l |U_l| / |W_l|.
     """
-    if len(perturbations) != net.depth:
+    if len(u_norms) != len(w_norms):
         raise ValueError("need one perturbation per layer")
-    if specs is None:
-        specs, _ = _layer_norms(net)
-    L = net.depth
-    u_norms = [spectral_norm(U) for U in perturbations]
-    for u, w in zip(u_norms, specs):
+    L = len(w_norms)
+    for u, w in zip(u_norms, w_norms):
         if u > w / L:
             raise ValueError(
                 f"perturbation norm {u:.3e} exceeds admissible {w / L:.3e}"
             )
-    ratio = sum(u / w for u, w in zip(u_norms, specs))
-    return math.e * B * float(np.prod(specs)) * ratio
+    ratio = sum(u / w for u, w in zip(u_norms, w_norms))
+    return math.e * B * float(np.prod(w_norms)) * ratio
 
 
 @dataclass(frozen=True)

@@ -23,11 +23,13 @@ import argparse
 import csv
 import hashlib
 import io
+import itertools
 import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass, field, replace
+import typing
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -41,6 +43,7 @@ from .bounds import (
     tail_threshold,
 )
 from .datasets import (
+    SYMMETRIES,
     generate_synthetic,
     input_rep_for,
     load_dataset,
@@ -71,6 +74,7 @@ from .irreps import (
     stack_rep,
 )
 from .verify import (
+    CheckResult,
     character_type_oracle,
     check_equivariance,
     chi_square_mc_check,
@@ -96,17 +100,17 @@ def _derive_seed(base: int, tag: str) -> int:
 
 
 def _cmd_gen_data(args: argparse.Namespace) -> int:
-    discrete = args.symmetry in ("cyclic", "dihedral")
-    if discrete:
-        if args.m_order is None:
-            raise ValueError("--m-order is required for discrete symmetries")
-        size = args.m_order
-        max_frequency = None
-    else:
+    continuous, _ = SYMMETRIES[args.symmetry]
+    if continuous:
         if args.d is None or args.f is None:
             raise ValueError("--d and --f are required for continuous symmetries")
         size = args.d
         max_frequency = args.f
+    else:
+        if args.m_order is None:
+            raise ValueError("--m-order is required for discrete symmetries")
+        size = args.m_order
+        max_frequency = None
     spec = generate_synthetic(
         args.symmetry,
         size,
@@ -249,9 +253,7 @@ def _verify_suite(trials: int, seed: int) -> list:
                 c = character_type_oracle(psi, G)
                 worst = max(worst, abs(float(np.mean(psi.characters**2)) - c))
                 n_irreps += 1
-    results.append(
-        _result("character-types", worst, n_irreps, 0.01)
-    )
+    results.append(CheckResult("character-types", worst, n_irreps, 0.01))
 
     worst = 0.0
     n_reps = 0
@@ -272,7 +274,7 @@ def _verify_suite(trials: int, seed: int) -> list:
             r = rep_invariants_check(rep, frequency_action(G, f, reflected))
             worst = max(worst, r.max_violation)
             n_reps += 1
-    results.append(_result("rep-invariants", worst, n_reps, 1e-10))
+    results.append(CheckResult("rep-invariants", worst, n_reps, 1e-10))
 
     for kind, n, pid in (("dihedral", 4, "freq:1"), ("cyclic", 8, "freq:1"), ("quaternion", 8, "quat")):
         G = build_group(kind, n)
@@ -304,11 +306,11 @@ def _verify_suite(trials: int, seed: int) -> list:
         for layer in net.layers:
             r = check_equivariance(layer, 1e-10)
             results.append(
-                _result(f"layer-equivariance({kind}{n})", r.max_violation, r.trials, 1e-10)
+                CheckResult(f"layer-equivariance({kind}{n})", r.max_violation, r.trials, 1e-10)
             )
         r = check_equivariance(net, 1e-8, seed=seed)
         results.append(
-            _result(f"network-invariance({kind}{n})", r.max_violation, r.trials, 1e-8)
+            CheckResult(f"network-invariance({kind}{n})", r.max_violation, r.trials, 1e-8)
         )
 
     G = build_group("cyclic", 4)
@@ -321,14 +323,6 @@ def _verify_suite(trials: int, seed: int) -> list:
         mc_perturbation_check(net, sigma, min(trials, 200), X, B, seed=seed)
     )
     return results
-
-
-def _result(name: str, violation: float, trials: int, threshold: float):
-    from .verify import CheckResult
-
-    return CheckResult(
-        name=name, max_violation=violation, trials=trials, threshold=threshold
-    )
 
 
 def _admissible_sigma(net) -> float:
@@ -393,40 +387,40 @@ class SweepConfig:
 
 
 def _load_sweep_config(args: argparse.Namespace) -> SweepConfig:
+    """The JSON config of `--config`, with every flag given applied over it."""
     data = {}
     if args.config:
         with open(args.config) as f:
             data = json.load(f)
-    cfg = SweepConfig(**{k: v for k, v in data.items()})
-    cfg.groups = [(str(k), int(n)) for k, n in cfg.groups]
-    for name in (
-        "symmetry",
-        "gamma",
-        "eta",
-        "delta",
-        "test_m",
-        "learning_rate",
-        "max_epochs",
-        "batch_size",
-        "out_dir",
-        "d",
-    ):
-        value = getattr(args, name, None)
+    cfg = SweepConfig(**data)
+    for f in fields(SweepConfig):
+        value = getattr(args, f.name)
         if value is not None:
-            setattr(cfg, name, value)
-    if args.sizes is not None:
-        cfg.sizes = list(args.sizes)
-    if args.m_grid is not None:
-        cfg.m_grid = list(args.m_grid)
-    if args.seeds is not None:
-        cfg.seeds = list(args.seeds)
-    if args.widths is not None:
-        cfg.widths = list(args.widths)
+            setattr(cfg, f.name, value)
     if args.groups is not None:
         cfg.groups = [_parse_group(s) for s in args.groups]
-    if args.random_labels:
-        cfg.random_labels = True
+    cfg.groups = [(str(k), int(n)) for k, n in cfg.groups]
     return cfg
+
+
+def _add_sweep_flags(p: argparse.ArgumentParser) -> None:
+    """One flag per SweepConfig field, `x_y` as `--x-y`, None when not given.
+
+    `groups`, whose elements are (kind, N) pairs, takes text:
+    `_load_sweep_config` parses it, so a malformed group exits 2.
+    """
+    hints = typing.get_type_hints(SweepConfig)
+    for f in fields(SweepConfig):
+        hint = hints[f.name]
+        kwargs = {"dest": f.name, "default": None}
+        if hint is bool:
+            kwargs["action"] = "store_true"
+        elif typing.get_origin(hint) is list:
+            (element,) = typing.get_args(hint)
+            kwargs.update(nargs="+", type=str if typing.get_origin(element) else element)
+        else:
+            kwargs.update(type=hint, choices=_CHOICES.get(f.name))
+        p.add_argument("--" + f.name.replace("_", "-"), **kwargs)
 
 
 def _parse_group(text: str) -> tuple[str, int]:
@@ -441,7 +435,7 @@ def _parse_group(text: str) -> tuple[str, int]:
 
 def _sweep_datasets(cfg: SweepConfig, size: int, m: int, seed: int):
     """Build (spec, train, test) for one cell; shared across groups."""
-    continuous = cfg.symmetry in ("so2", "o2")
+    continuous, _ = SYMMETRIES[cfg.symmetry]
     spec = generate_synthetic(
         cfg.symmetry,
         cfg.d if continuous else size,
@@ -476,60 +470,58 @@ def run_sweep(cfg: SweepConfig) -> dict:
         raise ValueError(
             "sweep grid is empty: sizes, m_grid, seeds and groups each need a value"
         )
+    if cfg.symmetry not in SYMMETRIES:
+        raise ValueError(f"unknown symmetry {cfg.symmetry!r}")
     base_tcfg = TrainConfig(
         gamma=cfg.gamma,
         max_epochs=cfg.max_epochs,
         learning_rate=cfg.learning_rate,
         batch_size=cfg.batch_size,
     )
-    # A group that cannot act on the data must fail here, not after the
-    # cells before it have trained.
-    first = (cfg.sizes[0], cfg.m_grid[0], cfg.seeds[0])
-    dataset_cache: dict = {first: _sweep_datasets(cfg, *first)}
+    # Groups are the innermost loop, so each key's datasets serve one run of
+    # cells.  The first key's are built here: a group that cannot act on the
+    # data must fail before any cell trains.
+    keys = list(itertools.product(cfg.sizes, cfg.m_grid, cfg.seeds))
+    datasets = _sweep_datasets(cfg, *keys[0])
     for group in cfg.groups:
-        input_rep_for(dataset_cache[first][0], build_group(*group))
+        input_rep_for(datasets[0], build_group(*group))
     os.makedirs(cfg.out_dir, exist_ok=True)
     chash = cfg.config_hash()
     rows = []
-    for size in cfg.sizes:
-        for m in cfg.m_grid:
-            for seed in cfg.seeds:
-                key = (size, m, seed)
-                if key not in dataset_cache:
-                    dataset_cache[key] = _sweep_datasets(cfg, size, m, seed)
-                spec, train_set, test_set = dataset_cache[key]
-                for kind, N in cfg.groups:
-                    net = _build_net(
-                        spec, (kind, N), cfg.widths, _derive_seed(seed, f"model:{kind}:{N}")
-                    )
-                    tcfg = replace(base_tcfg, seed=_derive_seed(seed, f"shuffle:{kind}:{N}"))
-                    try:
-                        result = train(net, train_set.X, train_set.y, tcfg)
-                        reached = True
-                        epochs = result.epochs
-                        margin_acc = result.margin_accuracy
-                    except MarginNotReached as exc:
-                        reached = False
-                        epochs = exc.epochs
-                        margin_acc = exc.achieved
-                    report = _bound_report(
-                        net, train_set, test_set, cfg.gamma, cfg.eta, cfg.delta
-                    )
-                    rows.append(
-                        {
-                            "config_hash": chash,
-                            "symmetry": cfg.symmetry,
-                            "size": size,
-                            "widths": "x".join(str(w) for w in cfg.widths),
-                            "channels": "x".join(str(c) for c in net.hidden_channels),
-                            "seed": seed,
-                            "epochs": epochs,
-                            "margin_reached": int(reached),
-                            "margin_accuracy": margin_acc,
-                            "random_labels": int(cfg.random_labels),
-                            "report": report,
-                        }
-                    )
+    for i, (size, m, seed) in enumerate(keys):
+        if i > 0:
+            datasets = _sweep_datasets(cfg, size, m, seed)
+        spec, train_set, test_set = datasets
+        for kind, N in cfg.groups:
+            net = _build_net(
+                spec, (kind, N), cfg.widths, _derive_seed(seed, f"model:{kind}:{N}")
+            )
+            tcfg = replace(base_tcfg, seed=_derive_seed(seed, f"shuffle:{kind}:{N}"))
+            try:
+                result = train(net, train_set.X, train_set.y, tcfg)
+                reached = True
+                epochs = result.epochs
+                margin_acc = result.margin_accuracy
+            except MarginNotReached as exc:
+                reached = False
+                epochs = exc.epochs
+                margin_acc = exc.achieved
+            report = _bound_report(net, train_set, test_set, cfg.gamma, cfg.eta, cfg.delta)
+            rows.append(
+                {
+                    "config_hash": chash,
+                    "symmetry": cfg.symmetry,
+                    "size": size,
+                    "widths": "x".join(str(w) for w in cfg.widths),
+                    "channels": "x".join(str(c) for c in net.hidden_channels),
+                    "seed": seed,
+                    "epochs": epochs,
+                    "margin_reached": int(reached),
+                    "margin_accuracy": margin_acc,
+                    "random_labels": int(cfg.random_labels),
+                    "report": report,
+                }
+            )
     rows.sort(
         key=lambda r: (
             r["symmetry"],
@@ -632,6 +624,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 # -------------------------------------------------------------------- main
 
+# Values of the settings that gen-data and sweep both take.
+_CHOICES = {"symmetry": tuple(SYMMETRIES), "augment": ("none", "group")}
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -641,7 +636,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-data", help="generate a synthetic dataset")
-    p.add_argument("--symmetry", required=True, choices=("so2", "o2", "cyclic", "dihedral"))
+    p.add_argument("--symmetry", required=True, choices=_CHOICES["symmetry"])
     p.add_argument("--d", type=int, default=None, help="circles/pairs (continuous)")
     p.add_argument("--f", type=int, default=None, help="max frequency (continuous)")
     p.add_argument("--m-order", type=int, default=None, help="rotation order M (discrete)")
@@ -649,7 +644,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--noise-tangent", type=float, default=0.1)
     p.add_argument("--noise-ambient", type=float, default=0.01)
-    p.add_argument("--augment", choices=("none", "group"), default="none")
+    p.add_argument("--augment", choices=_CHOICES["augment"], default="none")
     p.add_argument("--random-labels", action="store_true")
     p.add_argument("--train-out", required=True)
     p.add_argument("--test-out", default=None)
@@ -687,22 +682,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="run a sweep grid from a JSON config")
     p.add_argument("--config", default=None)
-    p.add_argument("--symmetry", choices=("so2", "o2", "cyclic", "dihedral"), default=None)
-    p.add_argument("--sizes", type=int, nargs="+", default=None)
-    p.add_argument("--d", type=int, default=None)
-    p.add_argument("--groups", nargs="+", default=None, help='e.g. cyclic:8 dihedral:3')
-    p.add_argument("--m-grid", type=int, nargs="+", default=None, dest="m_grid")
-    p.add_argument("--seeds", type=int, nargs="+", default=None)
-    p.add_argument("--gamma", type=float, default=None)
-    p.add_argument("--widths", type=int, nargs="+", default=None)
-    p.add_argument("--eta", type=float, default=None)
-    p.add_argument("--delta", type=float, default=None)
-    p.add_argument("--test-m", type=int, default=None, dest="test_m")
-    p.add_argument("--learning-rate", type=float, default=None, dest="learning_rate")
-    p.add_argument("--max-epochs", type=int, default=None, dest="max_epochs")
-    p.add_argument("--batch-size", type=int, default=None, dest="batch_size")
-    p.add_argument("--random-labels", action="store_true")
-    p.add_argument("--out-dir", default=None, dest="out_dir")
+    _add_sweep_flags(p)
     p.set_defaults(func=_cmd_sweep)
     return parser
 

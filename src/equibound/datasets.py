@@ -1,6 +1,6 @@
 """Synthetic symmetric datasets on products of circles.
 
-Four symmetry families are supported:
+Four symmetry families are supported, one row each of SYMMETRIES:
 
 - "so2": points on a product of D unit circles; planar rotation by a
   common angle acts on circle i with frequency f_i.
@@ -34,6 +34,7 @@ from .irreps import RepSpec, direct_sum, restricted_frequency_rep
 
 __all__ = [
     "DatasetSpec",
+    "SYMMETRIES",
     "Sample",
     "SampleSet",
     "generate_synthetic",
@@ -44,7 +45,20 @@ __all__ = [
     "save_dataset",
 ]
 
-SYMMETRIES = ("so2", "o2", "cyclic", "dihedral")
+# The one table of symmetry families: name -> (continuous, reflects).  A
+# continuous family acts by every rotation angle, a discrete one by the M
+# multiples of 2*pi/M; a reflecting family adds the pair mirror.
+SYMMETRIES = {
+    "so2": (True, False),
+    "o2": (True, True),
+    "cyclic": (False, False),
+    "dihedral": (False, True),
+}
+
+
+def _unit_width(symmetry: str) -> int:
+    """Ambient columns per unit: one circle for so2, a pair of circles otherwise."""
+    return 2 if symmetry == "so2" else 4
 
 
 @dataclass(frozen=True)
@@ -69,11 +83,11 @@ class DatasetSpec:
 
     @property
     def paired(self) -> bool:
-        return self.symmetry != "so2"
+        return self.unit_width == 4
 
     @property
     def unit_width(self) -> int:
-        return 4 if self.paired else 2
+        return _unit_width(self.symmetry)
 
     @property
     def ambient_dim(self) -> int:
@@ -126,37 +140,29 @@ class SampleSet:
 def _act(
     points: np.ndarray,
     frequencies: tuple[int, ...],
-    paired: bool,
     theta: np.ndarray,
     reflect: np.ndarray | None,
 ) -> np.ndarray:
     """Apply per-sample group elements: rotate by theta, then mirror.
 
-    The mirror swaps the two circles of each pair and negates their
-    angles; it is only defined for paired geometries.
+    Each row holds one unit per frequency, of one circle or a pair.  The
+    mirror swaps the two circles of each pair and negates their angles;
+    pass `reflect` only for paired geometries.
     """
     out = np.array(points, dtype=np.float64)
-    width = 4 if paired else 2
-    for u, f in enumerate(frequencies):
-        ang = f * theta
-        c, s = np.cos(ang), np.sin(ang)
-        base = u * width
-        for sub in range(width // 2):
-            xcol = out[:, base + 2 * sub].copy()
-            ycol = out[:, base + 2 * sub + 1].copy()
-            out[:, base + 2 * sub] = c * xcol - s * ycol
-            out[:, base + 2 * sub + 1] = s * xcol + c * ycol
-        if reflect is not None and paired:
-            mask = reflect.astype(bool)
-            block = out[mask][:, base : base + 4]
-            out[np.ix_(mask, range(base, base + 4))] = np.column_stack(
-                [block[:, 2], -block[:, 3], block[:, 0], -block[:, 1]]
-            )
+    circles = out.reshape(len(out), len(frequencies), -1, 2)  # a view of out
+    ang = np.multiply.outer(theta, frequencies)[:, :, None]
+    c, s = np.cos(ang), np.sin(ang)
+    x, y = circles[..., 0], circles[..., 1]
+    circles[:] = np.stack([c * x - s * y, s * x + c * y], axis=-1)
+    if reflect is not None:
+        mask = reflect.astype(bool)
+        circles[mask] = circles[mask, :, ::-1] * [1.0, -1.0]
     return out
 
 
 def _base_representatives(
-    n_units: int, paired: bool, rng: np.random.Generator
+    n_units: int, symmetry: str, rng: np.random.Generator
 ) -> np.ndarray:
     """All combinations of the fixed per-unit points: 2^(n_units-1) rows.
 
@@ -165,7 +171,8 @@ def _base_representatives(
     and its antipode, keeping the alternatives well separated so that
     noisy samples from different representatives stay distinguishable.
     """
-    width = 4 if paired else 2
+    width = _unit_width(symmetry)
+    paired = width == 4
     angles = np.empty((n_units, 2))
     angles[:, 0] = rng.uniform(0.0, 2 * np.pi, size=n_units)
     angles[:, 1] = angles[:, 0] + np.pi
@@ -208,7 +215,7 @@ def generate_synthetic(
     if noise_sigma_tangent < 0 or noise_sigma_ambient < 0:
         raise ValueError("noise magnitudes must be nonnegative")
     rng = np.random.default_rng(seed)
-    continuous = symmetry in ("so2", "o2")
+    continuous, reflects = SYMMETRIES[symmetry]
     if continuous:
         if size < 1:
             raise ValueError("need at least one circle")
@@ -217,7 +224,7 @@ def generate_synthetic(
         D = size
         M = None
         frequencies = tuple((i % max_frequency) + 1 for i in range(D))
-        reps = _base_representatives(D, symmetry == "o2", rng)
+        reps = _base_representatives(D, symmetry, rng)
         labels = rng.integers(0, 2, size=reps.shape[0])
     else:
         if size < 2:
@@ -229,19 +236,19 @@ def generate_synthetic(
         M = size
         D = M // 2
         frequencies = tuple(range(1, D + 1))
-        base = _base_representatives(D, True, rng)
+        base = _base_representatives(D, symmetry, rng)
         zeros = np.zeros(base.shape[0], dtype=np.int64)
         ones = np.ones(base.shape[0], dtype=np.int64)
         half = np.full(base.shape[0], np.pi / M)
-        rotated = _act(base, frequencies, True, half, None)
-        if symmetry == "cyclic":
-            reps = np.concatenate([base, rotated])
-            labels = np.concatenate([zeros, ones])
-        else:
-            mirrored = _act(base, frequencies, True, half, ones)
-            both = _act(base, frequencies, True, 2 * half, ones)
+        rotated = _act(base, frequencies, half, None)
+        if reflects:
+            mirrored = _act(base, frequencies, half, ones)
+            both = _act(base, frequencies, 2 * half, ones)
             reps = np.concatenate([base, rotated, mirrored, both])
             labels = np.concatenate([zeros, ones, ones, zeros])
+        else:
+            reps = np.concatenate([base, rotated])
+            labels = np.concatenate([zeros, ones])
     reps.setflags(write=False)
     labels.setflags(write=False)
     return DatasetSpec(
@@ -276,40 +283,25 @@ def sample(spec: DatasetSpec, m: int, augment: str, seed: int) -> SampleSet:
     angle = np.zeros(m)
     reflect = np.zeros(m, dtype=np.int64)
     if augment == "group":
-        if spec.symmetry == "so2":
+        continuous, reflects = SYMMETRIES[spec.symmetry]
+        if continuous:
             angle = rng.uniform(0.0, 2 * np.pi, size=m)
-        elif spec.symmetry == "o2":
-            angle = rng.uniform(0.0, 2 * np.pi, size=m)
-            reflect = rng.integers(0, 2, size=m)
-        elif spec.symmetry == "cyclic":
-            angle = 2 * np.pi * rng.integers(0, spec.M, size=m) / spec.M
         else:
             angle = 2 * np.pi * rng.integers(0, spec.M, size=m) / spec.M
+        if reflects:
             reflect = rng.integers(0, 2, size=m)
-        X = _act(
-            spec.representatives[rep_index],
-            spec.frequencies,
-            spec.paired,
-            angle,
-            reflect if spec.paired else None,
-        )
+        points = spec.representatives[rep_index]
+        X = _act(points, spec.frequencies, angle, reflect if reflects else None)
     else:
         X = np.array(spec.representatives[rep_index], dtype=np.float64)
     if spec.noise_sigma_tangent > 0:
-        noise = spec.noise_sigma_tangent * rng.standard_normal((m, spec.D, 2))
-        for u in range(spec.D):
-            base = u * spec.unit_width
-            if spec.paired:
-                first = X[:, base : base + 2]
-                second = X[:, base + 2 : base + 4]
-                occupied_second = np.linalg.norm(second, axis=1) > 0.5
-                offset = base + 2 * occupied_second.astype(np.intp)
-            else:
-                offset = np.full(m, base, dtype=np.intp)
-            cols = np.stack([offset, offset + 1], axis=1)
-            block = np.take_along_axis(X, cols, axis=1) + noise[:, u]
-            norms = np.maximum(np.linalg.norm(block, axis=1, keepdims=True), 1e-300)
-            np.put_along_axis(X, cols, block / norms, axis=1)
+        noise = spec.noise_sigma_tangent * rng.standard_normal((m, spec.D, 1, 2))
+        circles = X.reshape(m, spec.D, -1, 2)  # a view of X
+        # A unit's point lies on one circle; the other circle of a pair is zero.
+        occupied = np.argmax(np.linalg.norm(circles, axis=-1), axis=-1)[:, :, None, None]
+        block = np.take_along_axis(circles, occupied, axis=2) + noise
+        norms = np.maximum(np.linalg.norm(block, axis=-1, keepdims=True), 1e-300)
+        np.put_along_axis(circles, occupied, block / norms, axis=2)
     if spec.noise_sigma_ambient > 0:
         X += spec.noise_sigma_ambient * rng.standard_normal(X.shape)
     y = np.array(spec.labels[rep_index], dtype=np.int64)
@@ -401,7 +393,7 @@ def load_dataset(path: str) -> tuple[DatasetSpec, SampleSet]:
         data = json.load(f)
     s = data["spec"]
     n_units = int(s["D"])
-    width = 2 if s["symmetry"] == "so2" else 4
+    width = _unit_width(s["symmetry"])
     reps = np.asarray(s["representatives"], dtype=np.float64).reshape(-1, n_units * width)
     spec = DatasetSpec(
         symmetry=s["symmetry"],

@@ -343,7 +343,7 @@ def mc_perturbation_check(
             rejected += 1
             continue
         accepted += 1
-        rhs = perturbation_rhs(net, [U for _, U in draws], B, specs=spec_w)
+        rhs = perturbation_rhs(spec_w, u_norms, B)
         A = X
         for l, (W, (_, U)) in enumerate(zip(weights, draws)):
             Z = A @ (W + U).T

@@ -1,7 +1,11 @@
 """End-to-end CLI flows: exit codes, files written, reproducibility."""
 
+import argparse
 import csv
+import io
 import json
+from dataclasses import asdict, fields
+from pathlib import Path
 
 import pytest
 
@@ -300,7 +304,8 @@ def test_sweep_divergence_writes_no_csv(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "groups", [["cyclic:1", "cyclic:8", "quaternion"], ["cyclic:1", "cyclc:4"]]
+    "groups",
+    [["cyclic:1", "cyclic:8", "quaternion"], ["cyclic:1", "cyclc:4"], ["cyclic:1", "cyclic:x"]],
 )
 def test_sweep_bad_group_exit_2_before_training(tmp_path, monkeypatch, groups):
     """A group that cannot act on the data is refused before any cell trains."""
@@ -434,6 +439,56 @@ def test_sweep_failed_write_keeps_previous_rows(tmp_path, monkeypatch):
     monkeypatch.undo()
     assert [(tmp_path / "s" / name).read_bytes() for name in names] == before
     assert sorted(p.name for p in (tmp_path / "s").iterdir()) == names
+
+
+def test_sweep_random_labels_over_two_seeds(tmp_path):
+    """Two dataset keys, relabelled, with every cell missing its margin."""
+    argv = [
+        "sweep",
+        "--symmetry", "o2",
+        "--sizes", "2",
+        "--d", "2",
+        "--groups", "dihedral:2",
+        "--m-grid", "64",
+        "--seeds", "0", "1",
+        "--widths", "16", "8",
+        "--test-m", "100",
+        "--max-epochs", "1",
+        "--batch-size", "32",
+        "--random-labels",
+    ]
+    assert main(argv + ["--out-dir", str(tmp_path / "a")]) == 0
+    assert main(argv + ["--out-dir", str(tmp_path / "b")]) == 0
+    body = (tmp_path / "a" / "rows.csv").read_bytes()
+    assert body == (tmp_path / "b" / "rows.csv").read_bytes()
+    rows = list(csv.DictReader(io.StringIO(body.decode())))
+    assert [row["seed"] for row in rows] == ["0", "1"]
+    assert all(row["margin_reached"] == "0" for row in rows)
+    assert all(row["random_labels"] == "1" for row in rows)
+    assert rows[0]["B"] != rows[1]["B"]
+
+
+def test_every_sweep_setting_has_a_flag_and_a_readme_key():
+    parser = cli._build_parser()
+    (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    flags = {a.dest: a.option_strings for a in subparsers.choices["sweep"]._actions}
+    names = [f.name for f in fields(SweepConfig)]
+    for name in names:
+        assert flags[name] == ["--" + name.replace("_", "-")]
+    args = parser.parse_args(["sweep"])
+    assert all(getattr(args, name) is None for name in names)
+    args = parser.parse_args(
+        ["sweep", "--augment", "group", "--noise-tangent", "0.2", "--noise-ambient", "0",
+         "--groups", "dihedral:3", "quaternion"]
+    )
+    cfg = cli._load_sweep_config(args)
+    assert (cfg.augment, cfg.noise_tangent, cfg.noise_ambient) == ("group", 0.2, 0.0)
+    assert cfg.groups == [("dihedral", 3), ("quaternion", 8)]
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("## Sweep configuration", 1)[1]
+    block = json.loads(section.split("```json\n", 1)[1].split("```", 1)[0])
+    assert list(block) == names
+    assert block == json.loads(json.dumps(asdict(SweepConfig())))
 
 
 def test_sweep_cli_entry(tmp_path, capsys):

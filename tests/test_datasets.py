@@ -203,6 +203,17 @@ def test_sample_discrete_group_angles_are_group_elements():
         assert np.min(np.abs(allowed - a)) < 1e-12
 
 
+@pytest.mark.parametrize(
+    "symmetry, size, max_frequency",
+    [("so2", 3, 2), ("o2", 3, 2), ("cyclic", 6, None), ("dihedral", 6, None)],
+)
+def test_sample_group_reflects_only_o2_and_dihedral(symmetry, size, max_frequency):
+    spec = generate_synthetic(symmetry, size, max_frequency=max_frequency, seed=40)
+    ds = sample(spec, 200, "group", seed=41)
+    drawn = set(np.unique(ds.reflect).tolist())
+    assert drawn == ({0, 1} if symmetry in ("o2", "dihedral") else {0})
+
+
 def test_sample_tangent_noise_stays_on_torus():
     spec = generate_synthetic(
         "so2", 5, max_frequency=2, seed=15, noise_sigma_tangent=0.2, noise_sigma_ambient=0.0
@@ -211,6 +222,13 @@ def test_sample_tangent_noise_stays_on_torus():
     for u in range(5):
         norms = np.linalg.norm(ds.X[:, 2 * u : 2 * u + 2], axis=1)
         np.testing.assert_allclose(norms, 1.0, atol=1e-12)
+    # In a pair, the noise moves the occupied circle and leaves the other at zero.
+    spec = generate_synthetic(
+        "dihedral", 10, seed=15, noise_sigma_tangent=0.2, noise_sigma_ambient=0.0
+    )
+    ds = sample(spec, 100, "group", seed=16)
+    norms = np.sort(np.linalg.norm(ds.X.reshape(100, 5, 2, 2), axis=-1), axis=-1)
+    np.testing.assert_allclose(norms, np.broadcast_to([0.0, 1.0], norms.shape), atol=1e-12)
 
 
 def test_sample_determinism_and_seed_sensitivity():
