@@ -70,6 +70,7 @@ from .irreps import (
     irreps_of,
     regular_matrices,
     regular_representation,
+    rep_violation,
     restricted_frequency_rep,
     stack_rep,
 )
@@ -84,7 +85,6 @@ from .verify import (
     intertwiner_identity_check,
     mc_perturbation_check,
     mc_tail_check,
-    rep_invariants_check,
 )
 
 __all__ = ["SweepConfig", "main", "run_sweep"]
@@ -99,36 +99,48 @@ def _derive_seed(base: int, tag: str) -> int:
 # ---------------------------------------------------------------- gen-data
 
 
+def _task(settings, size: int, m: int, spec_seed: int, seed: int, test_m: int | None):
+    """The spec, training set and test set of one synthetic task.
+
+    `settings` is a gen-data namespace or a SweepConfig; both carry
+    symmetry, d, noise_tangent, noise_ambient, augment and random_labels.
+    `size` is the max frequency F of a continuous family, on `d` circles
+    or pairs, and the rotation order M of a discrete one.  The sample
+    seeds derive from `seed`; the test set is None unless `test_m` is
+    given.
+    """
+    continuous, _ = SYMMETRIES[settings.symmetry]
+    spec = generate_synthetic(
+        settings.symmetry,
+        settings.d if continuous else size,
+        max_frequency=size if continuous else None,
+        seed=spec_seed,
+        noise_sigma_tangent=settings.noise_tangent,
+        noise_sigma_ambient=settings.noise_ambient,
+    )
+    train_set = sample(spec, m, settings.augment, _derive_seed(seed, "train"))
+    if settings.random_labels:
+        train_set = randomize_labels(train_set, _derive_seed(seed, "labels"))
+    if test_m is None:
+        return spec, train_set, None
+    return spec, train_set, sample(spec, test_m, "group", _derive_seed(seed, "test"))
+
+
 def _cmd_gen_data(args: argparse.Namespace) -> int:
     continuous, _ = SYMMETRIES[args.symmetry]
-    if continuous:
-        if args.d is None or args.f is None:
-            raise ValueError("--d and --f are required for continuous symmetries")
-        size = args.d
-        max_frequency = args.f
-    else:
-        if args.m_order is None:
-            raise ValueError("--m-order is required for discrete symmetries")
-        size = args.m_order
-        max_frequency = None
-    spec = generate_synthetic(
-        args.symmetry,
-        size,
-        max_frequency=max_frequency,
-        seed=args.seed,
-        noise_sigma_tangent=args.noise_tangent,
-        noise_sigma_ambient=args.noise_ambient,
-    )
-    train_set = sample(spec, args.m, args.augment, _derive_seed(args.seed, "train"))
-    if args.random_labels:
-        train_set = randomize_labels(train_set, _derive_seed(args.seed, "labels"))
+    if continuous and (args.d is None or args.f is None):
+        raise ValueError("--d and --f are required for continuous symmetries")
+    if not continuous and args.m_order is None:
+        raise ValueError("--m-order is required for discrete symmetries")
+    size = args.f if continuous else args.m_order
+    test_m = args.test_m if args.test_out else None
+    spec, train_set, test_set = _task(args, size, args.m, args.seed, args.seed, test_m)
     save_dataset(args.train_out, spec, train_set)
     print(
         f"wrote {args.train_out}: {len(train_set)} samples, "
         f"{spec.n_representatives} representatives, B={train_set.B:.4f}"
     )
-    if args.test_out:
-        test_set = sample(spec, args.test_m, "group", _derive_seed(args.seed, "test"))
+    if test_set is not None:
         save_dataset(args.test_out, spec, test_set)
         print(f"wrote {args.test_out}: {len(test_set)} samples, B={test_set.B:.4f}")
     return 0
@@ -137,10 +149,9 @@ def _cmd_gen_data(args: argparse.Namespace) -> int:
 # ------------------------------------------------------------------- train
 
 
-def _build_net(spec, group: tuple[str, int], widths: list[int], seed: int):
-    """The network one cell trains: regular hidden stacks of `group`."""
-    G = build_group(*group)
-    input_rep = input_rep_for(spec, G)
+def _build_net(input_rep, widths: list[int], seed: int):
+    """The network one cell trains: regular hidden stacks of the input rep's group."""
+    G = input_rep.group
     channels = [channels_for_width(G, w) for w in widths]
     return build_network(G, input_rep, channels, 2, seed=seed)
 
@@ -154,7 +165,8 @@ def _cmd_train(args: argparse.Namespace) -> int:
         seed=_derive_seed(args.seed, "shuffle"),
     )
     spec, train_set = load_dataset(args.data)
-    net = _build_net(spec, _parse_group(args.group), args.widths, args.seed)
+    G = build_group(*_parse_group(args.group))
+    net = _build_net(input_rep_for(spec, G), args.widths, args.seed)
     channels = list(net.hidden_channels)
     result = train(net, train_set.X, train_set.y, cfg)
     print(
@@ -264,15 +276,13 @@ def _verify_suite(trials: int, seed: int) -> list:
         # Hidden layers use channel stacks; their action is kron(P_g, I).
         for channels in (1, 3):
             rho = np.stack([np.kron(P, np.eye(channels)) for P in mats])
-            r = rep_invariants_check(stack_rep(reg, channels), rho)
-            worst = max(worst, r.max_violation)
+            worst = max(worst, rep_violation(stack_rep(reg, channels), rho))
             n_reps += 1
     for kind, n, reflected in (("cyclic", 8, False), ("dihedral", 6, True)):
         G = build_group(kind, n)
         for f in range(0, 4):
             rep = restricted_frequency_rep(G, f, reflected)
-            r = rep_invariants_check(rep, frequency_action(G, f, reflected))
-            worst = max(worst, r.max_violation)
+            worst = max(worst, rep_violation(rep, frequency_action(G, f, reflected)))
             n_reps += 1
     results.append(CheckResult("rep-invariants", worst, n_reps, 1e-10))
 
@@ -433,22 +443,16 @@ def _parse_group(text: str) -> tuple[str, int]:
     return text, 8 if text == "quaternion" else 1
 
 
-def _sweep_datasets(cfg: SweepConfig, size: int, m: int, seed: int):
-    """Build (spec, train, test) for one cell; shared across groups."""
-    continuous, _ = SYMMETRIES[cfg.symmetry]
-    spec = generate_synthetic(
-        cfg.symmetry,
-        cfg.d if continuous else size,
-        max_frequency=size if continuous else None,
-        seed=_derive_seed(seed, f"spec:{cfg.symmetry}:{size}"),
-        noise_sigma_tangent=cfg.noise_tangent,
-        noise_sigma_ambient=cfg.noise_ambient,
+def _sweep_task(cfg: SweepConfig, size: int, m: int, seed: int):
+    """One sweep key's training and test sets, and each group's input rep.
+
+    The reps follow the order of cfg.groups.
+    """
+    spec, train_set, test_set = _task(
+        cfg, size, m, _derive_seed(seed, f"spec:{cfg.symmetry}:{size}"), seed, cfg.test_m
     )
-    train_set = sample(spec, m, cfg.augment, _derive_seed(seed, "train"))
-    if cfg.random_labels:
-        train_set = randomize_labels(train_set, _derive_seed(seed, "labels"))
-    test_set = sample(spec, cfg.test_m, "group", _derive_seed(seed, "test"))
-    return spec, train_set, test_set
+    input_reps = [input_rep_for(spec, build_group(*group)) for group in cfg.groups]
+    return train_set, test_set, input_reps
 
 
 def _csv_cell(value) -> str:
@@ -478,24 +482,20 @@ def run_sweep(cfg: SweepConfig) -> dict:
         learning_rate=cfg.learning_rate,
         batch_size=cfg.batch_size,
     )
-    # Groups are the innermost loop, so each key's datasets serve one run of
-    # cells.  The first key's are built here: a group that cannot act on the
-    # data must fail before any cell trains.
+    # Groups are the innermost loop, so each key's datasets and input reps
+    # serve one run of cells.  The first key's are built here: a group that
+    # cannot act on the data must fail before any cell trains.
     keys = list(itertools.product(cfg.sizes, cfg.m_grid, cfg.seeds))
-    datasets = _sweep_datasets(cfg, *keys[0])
-    for group in cfg.groups:
-        input_rep_for(datasets[0], build_group(*group))
+    task = _sweep_task(cfg, *keys[0])
     os.makedirs(cfg.out_dir, exist_ok=True)
     chash = cfg.config_hash()
     rows = []
     for i, (size, m, seed) in enumerate(keys):
         if i > 0:
-            datasets = _sweep_datasets(cfg, size, m, seed)
-        spec, train_set, test_set = datasets
-        for kind, N in cfg.groups:
-            net = _build_net(
-                spec, (kind, N), cfg.widths, _derive_seed(seed, f"model:{kind}:{N}")
-            )
+            task = _sweep_task(cfg, size, m, seed)
+        train_set, test_set, input_reps = task
+        for (kind, N), input_rep in zip(cfg.groups, input_reps):
+            net = _build_net(input_rep, cfg.widths, _derive_seed(seed, f"model:{kind}:{N}"))
             tcfg = replace(base_tcfg, seed=_derive_seed(seed, f"shuffle:{kind}:{N}"))
             try:
                 result = train(net, train_set.X, train_set.y, tcfg)

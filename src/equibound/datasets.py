@@ -35,7 +35,6 @@ from .irreps import RepSpec, direct_sum, restricted_frequency_rep
 __all__ = [
     "DatasetSpec",
     "SYMMETRIES",
-    "Sample",
     "SampleSet",
     "generate_synthetic",
     "input_rep_for",
@@ -99,15 +98,6 @@ class DatasetSpec:
 
 
 @dataclass(frozen=True)
-class Sample:
-    """One labeled point with its generation provenance."""
-
-    x: np.ndarray
-    y: int
-    provenance: tuple
-
-
-@dataclass(frozen=True)
 class SampleSet:
     """A fixed sampled dataset with per-sample provenance arrays.
 
@@ -128,13 +118,6 @@ class SampleSet:
 
     def __len__(self) -> int:
         return self.X.shape[0]
-
-    def __getitem__(self, i: int) -> Sample:
-        return Sample(
-            x=self.X[i],
-            y=int(self.y[i]),
-            provenance=(int(self.rep_index[i]), float(self.angle[i]), int(self.reflect[i])),
-        )
 
 
 def _act(
@@ -384,14 +367,17 @@ def save_dataset(path: str, spec: DatasetSpec, samples: SampleSet) -> None:
 def load_dataset(path: str) -> tuple[DatasetSpec, SampleSet]:
     """Inverse of save_dataset.
 
-    Raises ValueError when the samples are inconsistent: per-sample
-    arrays (original_y included, when present) of different lengths,
-    non-finite features, a label or original label outside {0, 1}, or a
-    B below the largest feature norm.
+    Raises ValueError for a symmetry that is not a family of SYMMETRIES,
+    and when the samples are inconsistent: per-sample arrays
+    (original_y included, when present) of different lengths, non-finite
+    features, a label or original label outside {0, 1}, or a B below the
+    largest feature norm.
     """
     with open(path) as f:
         data = json.load(f)
     s = data["spec"]
+    if s["symmetry"] not in SYMMETRIES:
+        raise ValueError(f"{path}: unknown symmetry {s['symmetry']!r}")
     n_units = int(s["D"])
     width = _unit_width(s["symmetry"])
     reps = np.asarray(s["representatives"], dtype=np.float64).reshape(-1, n_units * width)

@@ -33,7 +33,8 @@ features), carry no biases, and end in a trivial-irrep-only layer so
 logits are invariant.  A network is its list of chained layers,
 `EquivariantNetwork(layers)`: its group, hidden channel counts and class
 count are read from the layers' reps.  Which irreps a layer's input and
-output share, and where, comes from `irreps.shared_irreps`.
+output share, and where, is its `shared` tuple of `irreps.SharedIrrep`
+records.
 """
 
 from __future__ import annotations
@@ -48,7 +49,6 @@ import numpy as np
 from .groups import FiniteGroup, group_from_json, group_to_json
 from .irreps import (
     RepSpec,
-    intertwiner_basis,
     regular_representation,
     rep_from_json,
     rep_to_json,
@@ -83,31 +83,6 @@ __all__ = [
 EVAL_ROWS = 256
 
 
-@dataclass(frozen=True, eq=False)
-class _SharedBlock:
-    """One irrep common to a layer's input and output reps.
-
-    `in_cols` and `out_cols` are its columns in the input's and the
-    output's block coordinates.
-    """
-
-    irrep_id: str
-    dim: int
-    basis: np.ndarray
-    m_in: int
-    m_out: int
-    in_offset: int
-    out_offset: int
-
-    @property
-    def in_cols(self) -> slice:
-        return slice(self.in_offset, self.in_offset + self.m_in * self.dim)
-
-    @property
-    def out_cols(self) -> slice:
-        return slice(self.out_offset, self.out_offset + self.m_out * self.dim)
-
-
 def _products(
     rows: int, dim: int, parts: list[tuple[slice, np.ndarray, np.ndarray]]
 ) -> np.ndarray:
@@ -128,7 +103,8 @@ class EquivariantLayer:
     """A linear map constrained to commute with the group action.
 
     Parameters live in `coefficients`, a dict keyed by irrep id holding
-    arrays of shape (m_out, m_in, c_psi).  The superblocks they expand
+    arrays of shape (m_out, m_in, c_psi), one per record of `shared`
+    (`shared_irreps(in_rep, out_rep)`).  The superblocks they expand
     to are cached, and so is the dense `matrix` once read; call
     `mark_dirty` after mutating coefficient arrays in place.
 
@@ -144,21 +120,9 @@ class EquivariantLayer:
             raise ValueError("layer reps must share the same group")
         self.in_rep = in_rep
         self.out_rep = out_rep
-        self.shared = tuple(
-            _SharedBlock(
-                irrep_id=psi.id,
-                dim=psi.dim,
-                basis=intertwiner_basis(in_rep.group, psi),
-                m_in=m_in,
-                m_out=m_out,
-                in_offset=in_offset,
-                out_offset=out_offset,
-            )
-            for psi, in_offset, m_in, out_offset, m_out in shared_irreps(in_rep, out_rep)
-        )
+        self.shared = shared_irreps(in_rep, out_rep)
         self.coefficients = {
-            b.irrep_id: np.zeros((b.m_out, b.m_in, b.basis.shape[0]))
-            for b in self.shared
+            b.irrep_id: np.zeros((b.m_out, b.m_in, b.psi.type_c)) for b in self.shared
         }
         self._superblocks: dict[str, np.ndarray] | None = None
         self._matrix: np.ndarray | None = None
@@ -441,6 +405,11 @@ def empirical_margin_loss(
     return float(np.mean(margins(net, X, y) <= gamma))
 
 
+# Fraction of training points whose margin must exceed gamma before
+# `train` stops.
+MARGIN_TARGET = 0.99
+
+
 @dataclass
 class TrainConfig:
     """Optimization and stopping parameters for margin training."""
@@ -450,7 +419,6 @@ class TrainConfig:
     learning_rate: float = 0.01
     batch_size: int = 256
     seed: int = 0
-    target_fraction: float = 0.99
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.gamma) and self.gamma > 0):
@@ -462,10 +430,6 @@ class TrainConfig:
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ValueError(
                 f"learning_rate must be finite and positive, got {self.learning_rate}"
-            )
-        if not 0 < self.target_fraction <= 1:
-            raise ValueError(
-                f"target_fraction must be in (0, 1], got {self.target_fraction}"
             )
 
 
@@ -567,7 +531,7 @@ def train(
 
     After each epoch the fraction of training points with margin
     strictly above cfg.gamma is evaluated; training stops once it
-    reaches cfg.target_fraction and raises MarginNotReached otherwise.
+    reaches MARGIN_TARGET and raises MarginNotReached otherwise.
     Raises TrainingDiverged on the first non-finite batch loss, or when
     the coefficients are not all finite at the end of an epoch.
     """
@@ -627,7 +591,7 @@ def train(
         result.margin_accuracy = frac
         result.loss_history.append(epoch_loss / max(n_batches, 1))
         result.margin_history.append(frac)
-        if frac >= cfg.target_fraction:
+        if frac >= MARGIN_TARGET:
             return result
     raise MarginNotReached(cfg.max_epochs, result.margin_accuracy)
 

@@ -17,15 +17,17 @@ kron(base_Q, I_channels): a stack's represented coordinates are
 base-coordinate-major with the channel fastest, and the same rule then
 places every irrep of the stack in one column range.  Changing basis is
 one batched matmul with base_Q; the dense Q is built only when an
-oracle reads it.  `shared_irreps` pairs the block ranges of two reps;
-it is the one table from which a layer, the bound's multiplicity
-factors and the spectral tail read which irreps meet, and how often.
+oracle reads it.  The SharedIrrep records of `shared_irreps` are the one
+table from which a layer, the bound and its checks read which irreps
+two reps share, where, and how often; `rep_violation` is the one
+measure of how far a rep breaks the RepSpec invariants.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,6 +36,7 @@ from .groups import FiniteGroup, build_group
 __all__ = [
     "Irrep",
     "RepSpec",
+    "SharedIrrep",
     "decompose_representation",
     "direct_sum",
     "fourier_transform",
@@ -48,6 +51,7 @@ __all__ = [
     "regular_representation",
     "rep_from_json",
     "rep_to_json",
+    "rep_violation",
     "restricted_frequency_rep",
     "shared_irreps",
     "stack_rep",
@@ -205,9 +209,8 @@ _QUAT_PATTERNS = [
 
 
 @lru_cache(maxsize=None)
-def _intertwiner_basis_cached(kind: str, N: int, irrep_id: str) -> np.ndarray:
-    psi = irrep_by_id(build_group(kind, N), irrep_id)
-    d, c = psi.dim, psi.type_c
+def _intertwiner_basis_cached(d: int, c: int) -> np.ndarray:
+    """The self-intertwiner basis of any irrep of dimension d and type c."""
     if c == 1:
         basis = np.eye(d)[None]
     elif c == 2:
@@ -230,7 +233,7 @@ def intertwiner_basis(G: FiniteGroup, psi: Irrep) -> np.ndarray:
     right-multiplication matrices.  Every element commutes with psi(g)
     for all g, and the matrices are pairwise Frobenius-orthogonal.
     """
-    return _intertwiner_basis_cached(G.kind, G.N, psi.id)
+    return _intertwiner_basis_cached(psi.dim, psi.type_c)
 
 
 @dataclass(frozen=True, eq=False)
@@ -316,17 +319,49 @@ class RepSpec:
         return f"RepSpec(group={self.group!r}, blocks={self.blocks}, dim={self.dim})"
 
 
-def shared_irreps(
-    in_rep: RepSpec, out_rep: RepSpec
-) -> tuple[tuple[Irrep, int, int, int, int], ...]:
-    """(psi, in_offset, m_in, out_offset, m_out) per irrep in both reps.
+class SharedIrrep(NamedTuple):
+    """One irrep common to an input and an output rep.
 
-    In `out_rep`'s block order, irreps of positive multiplicity in both
-    only; offsets are the first block column in each rep (see `layout`).
+    The offsets are its first block column in each rep (see `layout`)
+    and the m's its multiplicities there; `in_cols` and `out_cols` are
+    its whole column ranges, and `basis` its c_psi intertwiner matrices.
+    """
+
+    psi: Irrep
+    in_offset: int
+    m_in: int
+    out_offset: int
+    m_out: int
+
+    @property
+    def irrep_id(self) -> str:
+        return self.psi.id
+
+    @property
+    def dim(self) -> int:
+        return self.psi.dim
+
+    @property
+    def basis(self) -> np.ndarray:
+        return _intertwiner_basis_cached(self.psi.dim, self.psi.type_c)
+
+    @property
+    def in_cols(self) -> slice:
+        return slice(self.in_offset, self.in_offset + self.m_in * self.psi.dim)
+
+    @property
+    def out_cols(self) -> slice:
+        return slice(self.out_offset, self.out_offset + self.m_out * self.psi.dim)
+
+
+def shared_irreps(in_rep: RepSpec, out_rep: RepSpec) -> tuple[SharedIrrep, ...]:
+    """One SharedIrrep per irrep of positive multiplicity in both reps.
+
+    The records follow `out_rep`'s block order.
     """
     ins = {psi.id: (offset, mult) for psi, offset, mult in in_rep.layout if mult > 0}
     return tuple(
-        (psi, *ins[psi.id], out_offset, m_out)
+        SharedIrrep(psi, *ins[psi.id], out_offset, m_out)
         for psi, out_offset, m_out in out_rep.layout
         if m_out > 0 and psi.id in ins
     )
@@ -391,21 +426,19 @@ def _check_representation(G: FiniteGroup, rho: np.ndarray, tol: float = 1e-8) ->
         raise ValueError("representation matrices must be orthogonal")
 
 
-# Seed of the random fallback in `decompose_representation`, and the
-# largest violation of the RepSpec invariants it accepts.
-DECOMPOSE_SEED = 0
+# The largest violation of the RepSpec invariants (see `rep_violation`)
+# that `decompose_representation` accepts.
 DECOMPOSE_TOL = 1e-9
 
 
 def decompose_representation(G: FiniteGroup, rho: np.ndarray) -> RepSpec:
     """Decompose an orthogonal representation of G into irrep blocks.
 
-    Multiplicities come from character inner products; the basis is built
-    by twirl-averaging seed matrices into intertwiners, sweeping the
-    standard basis seeds deterministically first and falling back to
-    random seeds (drawn from DECOMPOSE_SEED) only if the sweep
-    degenerates.  The result satisfies the RepSpec invariants within
-    DECOMPOSE_TOL.
+    Multiplicities come from character inner products.  The basis is
+    built by twirl-averaging the standard seed matrices E_pq into
+    intertwiners: twirling projects orthogonally onto Hom_G(rho, psi),
+    so the twirled seeds span it and the sweep finds every copy.  The
+    result satisfies the RepSpec invariants within DECOMPOSE_TOL.
     """
     rho = np.asarray(rho, dtype=np.float64)
     _check_representation(G, rho)
@@ -428,38 +461,29 @@ def decompose_representation(G: FiniteGroup, rho: np.ndarray) -> RepSpec:
     if total != dim:
         raise ValueError("multiplicities do not add up to the representation size")
 
-    rng = np.random.default_rng(DECOMPOSE_SEED)
     Q = np.empty((dim, dim))
     offset = 0
     for irrep_id, mult in blocks:
         psi = irrep_by_id(G, irrep_id)
         d = psi.dim
         accepted: list[np.ndarray] = []
-
-        def try_seed(seed_matrix: np.ndarray) -> None:
-            T = (
-                np.einsum(
-                    "gip,pq,gjq->ij", psi.matrices, seed_matrix, rho, optimize=True
-                )
-                / n_group
-            )
-            for U in accepted:
-                T = T - (T @ U.T) @ U
-            lam = float(np.einsum("ij,ij->", T, T)) / d
-            if lam > 1e-10:
-                accepted.append(T / np.sqrt(lam))
-
         for p in range(d):
             for q in range(dim):
                 if len(accepted) == mult:
                     break
                 seed_matrix = np.zeros((d, dim))
                 seed_matrix[p, q] = 1.0
-                try_seed(seed_matrix)
-        tries = 0
-        while len(accepted) < mult and tries < 100:
-            try_seed(rng.standard_normal((d, dim)))
-            tries += 1
+                T = (
+                    np.einsum(
+                        "gip,pq,gjq->ij", psi.matrices, seed_matrix, rho, optimize=True
+                    )
+                    / n_group
+                )
+                for U in accepted:
+                    T = T - (T @ U.T) @ U
+                lam = float(np.einsum("ij,ij->", T, T)) / d
+                if lam > 1e-10:
+                    accepted.append(T / np.sqrt(lam))
         if len(accepted) < mult:
             raise RuntimeError(
                 f"failed to extract {mult} copies of {irrep_id}; "
@@ -470,18 +494,27 @@ def decompose_representation(G: FiniteGroup, rho: np.ndarray) -> RepSpec:
         offset += mult * d
 
     rep = RepSpec(group=G, blocks=tuple(blocks), base_Q=_freeze(Q))
-    _validate_rep_spec(rep, rho)
+    err = rep_violation(rep, rho)
+    if err > DECOMPOSE_TOL:
+        raise RuntimeError(f"decomposition breaks the RepSpec invariants ({err:.2e})")
     return rep
 
 
-def _validate_rep_spec(rep: RepSpec, rho: np.ndarray) -> None:
-    gram_err = np.max(np.abs(rep.Q @ rep.Q.T - np.eye(rep.dim)))
-    if gram_err > DECOMPOSE_TOL:
-        raise RuntimeError(f"decomposition basis is not orthogonal ({gram_err:.2e})")
-    for g in range(rep.group.order):
-        err = np.max(np.abs(rep.Q.T @ rho[g] @ rep.Q - rep.block_diagonal(g)))
-        if err > DECOMPOSE_TOL:
-            raise RuntimeError(f"block diagonalization fails at element {g} ({err:.2e})")
+def rep_violation(rep: RepSpec, rho: np.ndarray | None = None) -> float:
+    """The largest violation of the RepSpec invariants.
+
+    The maximum of |Q^T Q - I| and |Q Q^T - I| entrywise and, when the
+    explicit action rho (order, dim, dim) is given, of
+    |Q^T rho(g) Q - block diagonal(g)| over every element g.
+    """
+    Q, eye = rep.Q, np.eye(rep.dim)
+    worst = float(np.max(np.abs(Q.T @ Q - eye), initial=0.0))
+    worst = max(worst, float(np.max(np.abs(Q @ Q.T - eye), initial=0.0)))
+    if rho is not None:
+        for g in range(rep.group.order):
+            err = np.abs(Q.T @ rho[g] @ Q - rep.block_diagonal(g))
+            worst = max(worst, float(np.max(err, initial=0.0)))
+    return worst
 
 
 def fourier_transform(G: FiniteGroup, x: np.ndarray) -> dict[str, np.ndarray]:
@@ -490,14 +523,8 @@ def fourier_transform(G: FiniteGroup, x: np.ndarray) -> dict[str, np.ndarray]:
     Returns, per irrep, the matrix sum_g x(g) psi(g) restricted to its
     first dim/c columns (the rest are redundant for real irreps).
     """
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (G.order,):
-        raise ValueError(f"expected signal of length {G.order}, got shape {x.shape}")
-    out = {}
-    for psi in irreps_of(G):
-        keep = psi.dim // psi.type_c
-        out[psi.id] = np.einsum("g,gpq->pq", x, psi.matrices[:, :, :keep])
-    return out
+    full = fourier_transform_full(G, x)
+    return {psi.id: full[psi.id][:, : psi.dim // psi.type_c] for psi in irreps_of(G)}
 
 
 def fourier_transform_full(G: FiniteGroup, x: np.ndarray) -> dict[str, np.ndarray]:
@@ -511,11 +538,12 @@ def fourier_transform_full(G: FiniteGroup, x: np.ndarray) -> dict[str, np.ndarra
 
 
 def inverse_fourier(G: FiniteGroup, coeffs: dict[str, np.ndarray]) -> np.ndarray:
-    """Invert fourier_transform exactly via the orthonormal regular basis."""
-    reg = regular_representation(G)
-    n = G.order
-    s = np.empty(n)
-    offset = 0
+    """Invert fourier_transform exactly via the orthonormal regular basis.
+
+    Irrep psi's coefficients, scaled by sqrt(dim/|G|), are its block
+    coordinates in the regular representation.
+    """
+    parts = []
     for psi in irreps_of(G):
         keep = psi.dim // psi.type_c
         mat = np.asarray(coeffs[psi.id], dtype=np.float64)
@@ -524,11 +552,8 @@ def inverse_fourier(G: FiniteGroup, coeffs: dict[str, np.ndarray]) -> np.ndarray
                 f"coefficients for {psi.id} must have shape {(psi.dim, keep)}, "
                 f"got {mat.shape}"
             )
-        scale = np.sqrt(psi.dim / n)
-        span = keep * psi.dim
-        s[offset : offset + span] = scale * mat.reshape(-1)
-        offset += span
-    return reg.Q @ s
+        parts.append(np.sqrt(psi.dim / G.order) * mat.reshape(-1))
+    return regular_representation(G).Q @ np.concatenate(parts)
 
 
 @lru_cache(maxsize=None)
@@ -653,7 +678,8 @@ def rep_to_json(rep: RepSpec) -> dict:
     return {"blocks": [[pid, mult] for pid, mult in rep.blocks], "Q": q}
 
 
-# Largest entry of Q^T Q - I that `rep_from_json` accepts.
+# Largest orthogonality violation (see `rep_violation`) that
+# `rep_from_json` accepts.
 JSON_ORTHOGONALITY_TOL = 1e-10
 
 
@@ -667,13 +693,13 @@ def rep_from_json(G: FiniteGroup, data: dict) -> RepSpec:
     blocks = tuple((str(pid), int(mult)) for pid, mult in data["blocks"])
     dim = sum(irrep_by_id(G, pid).dim * mult for pid, mult in blocks)
     if data["Q"] == "identity":
-        Q = np.eye(dim)
-    else:
-        Q = np.asarray(data["Q"], dtype=np.float64).reshape(dim, dim)
-        err = float(np.max(np.abs(Q.T @ Q - np.eye(dim)), initial=0.0))
-        if not err <= JSON_ORTHOGONALITY_TOL:
-            raise ValueError(
-                f"rep basis Q is not orthogonal: max|Q^T Q - I| = {err:.3g} "
-                f"exceeds {JSON_ORTHOGONALITY_TOL:g}"
-            )
-    return RepSpec(group=G, blocks=blocks, base_Q=_freeze(Q))
+        return RepSpec(group=G, blocks=blocks, base_Q=_freeze(np.eye(dim)))
+    Q = np.asarray(data["Q"], dtype=np.float64).reshape(dim, dim)
+    rep = RepSpec(group=G, blocks=blocks, base_Q=_freeze(Q))
+    err = rep_violation(rep)
+    if not err <= JSON_ORTHOGONALITY_TOL:
+        raise ValueError(
+            f"rep basis Q is not orthogonal: max|Q^T Q - I| and max|Q Q^T - I| "
+            f"reach {err:.3g}, above {JSON_ORTHOGONALITY_TOL:g}"
+        )
+    return rep

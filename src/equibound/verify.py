@@ -25,6 +25,7 @@ from .irreps import (
     inverse_fourier,
     irreps_of,
     regular_matrices,
+    rep_violation,
     shared_irreps,
 )
 
@@ -164,15 +165,9 @@ def check_equivariance(obj, tol: float, n_inputs: int = 16, seed: int = 0) -> Ch
 
 def rep_invariants_check(rep, rho: np.ndarray, tol: float = 1e-10) -> CheckResult:
     """Q orthogonality plus block diagonalization against explicit rho."""
-    n = rep.dim
-    worst = float(np.max(np.abs(rep.Q @ rep.Q.T - np.eye(n))))
-    worst = max(worst, float(np.max(np.abs(rep.Q.T @ rep.Q - np.eye(n)))))
-    for g in range(rep.group.order):
-        block = rep.Q.T @ rho[g] @ rep.Q
-        worst = max(worst, float(np.max(np.abs(block - rep.block_diagonal(g)))))
     return CheckResult(
         name="rep-invariants",
-        max_violation=worst,
+        max_violation=rep_violation(rep, rho),
         trials=rep.group.order,
         threshold=tol,
     )
@@ -263,14 +258,12 @@ def mc_tail_check(
     orthogonality of the bases), and compares exceedance frequencies at
     both thresholds against the probability bound capped at 1.
     """
-    G = in_rep.group
     rng = np.random.default_rng(seed)
     norms = np.zeros(trials)
-    for psi, _, m_in, _, m_out in shared_irreps(in_rep, out_rep):
-        basis = intertwiner_basis(G, psi)
-        coeffs = rng.normal(0.0, sigma, size=(trials, m_out, m_in, basis.shape[0]))
-        blocks = np.einsum("tjik,kpq->tjpiq", coeffs, basis).reshape(
-            trials, m_out * psi.dim, m_in * psi.dim
+    for b in shared_irreps(in_rep, out_rep):
+        coeffs = rng.normal(0.0, sigma, size=(trials, b.m_out, b.m_in, b.psi.type_c))
+        blocks = np.einsum("tjik,kpq->tjpiq", coeffs, b.basis).reshape(
+            trials, b.m_out * b.dim, b.m_in * b.dim
         )
         svals = np.linalg.svd(blocks, compute_uv=False)[:, 0]
         norms = np.maximum(norms, svals)

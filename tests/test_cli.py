@@ -12,7 +12,7 @@ import pytest
 from equibound import cli
 from equibound.cli import SweepConfig, _derive_seed, _parse_group, main, run_sweep
 from equibound.bounds import csv_header
-from equibound.datasets import load_dataset
+from equibound.datasets import input_rep_for, load_dataset
 from equibound.equivariant import TrainingDiverged, load_checkpoint
 from equibound.irreps import rep_to_json
 
@@ -207,14 +207,19 @@ def test_train_bad_group_exit_2(pipeline, capsys):
 
 
 def test_train_malformed_dataset_exit_2(pipeline, tmp_path, capsys):
-    with open(pipeline["train"]) as f:
-        data = json.load(f)
-    data["samples"]["y"][0] = 2
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(data))
-    rc = main(["train", "--data", str(bad), "--group", "cyclic:4", "--widths", "8"])
-    assert rc == 2
-    assert "labels must be 0 or 1" in capsys.readouterr().err
+    """A bad label, or a symmetry that is no family, is refused before training."""
+    for mutate, message in (
+        (lambda data: data["samples"]["y"].__setitem__(0, 2), "labels must be 0 or 1"),
+        (lambda data: data["spec"].update(symmetry="so3"), "unknown symmetry 'so3'"),
+    ):
+        with open(pipeline["train"]) as f:
+            data = json.load(f)
+        mutate(data)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        rc = main(["train", "--data", str(bad), "--group", "cyclic:4", "--widths", "8"])
+        assert rc == 2
+        assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flag,value", [("--batch", "0"), ("--lr", "-1"), ("--epochs", "0")])
@@ -319,6 +324,24 @@ def test_sweep_bad_group_exit_2_before_training(tmp_path, monkeypatch, groups):
                "--seeds", "0", "--test-m", "100", "--out-dir", str(out)])
     assert rc == 2
     assert not (out / "rows.csv").exists()
+
+
+@pytest.mark.parametrize("seeds, builds", [([0], 3), ([0, 1], 6)])
+def test_sweep_builds_each_input_rep_once_per_key(tmp_path, monkeypatch, seeds, builds):
+    """The reps built to refuse a group serve the first key's cells."""
+    built = []
+
+    def counted(spec, G):
+        built.append((G.kind, G.N))
+        return input_rep_for(spec, G)
+
+    monkeypatch.setattr(cli, "input_rep_for", counted)
+    cfg = _tiny_sweep_config(tmp_path / "s")
+    cfg.groups = [("cyclic", 1), ("cyclic", 2), ("cyclic", 4)]
+    cfg.seeds = seeds
+    cfg.max_epochs = 1
+    assert len(run_sweep(cfg)["rows"]) == 3 * len(seeds)
+    assert len(built) == builds
 
 
 def test_sweep_unknown_config_key_exit_2(tmp_path):

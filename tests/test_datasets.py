@@ -241,18 +241,6 @@ def test_sample_determinism_and_seed_sensitivity():
     assert not np.array_equal(a.X, c.X)
 
 
-def test_sample_getitem_provenance():
-    spec = generate_synthetic("so2", 3, max_frequency=1, seed=20)
-    ds = sample(spec, 10, "group", seed=21)
-    s = ds[3]
-    assert s.x.shape == (6,)
-    assert s.y in (0, 1)
-    rep_index, angle, reflect = s.provenance
-    assert rep_index == ds.rep_index[3]
-    assert angle == ds.angle[3]
-    assert reflect == ds.reflect[3]
-
-
 # ------------------------------------------------------------- random labels
 
 
@@ -363,6 +351,10 @@ def _shrink_b(data):
     data["samples"]["B"] *= 0.99
 
 
+def _relabel_symmetry(data):
+    data["spec"]["symmetry"] = "so3"
+
+
 def _set_original_y(values):
     def mutate(data):
         n = len(data["samples"]["y"])
@@ -387,11 +379,12 @@ def _set_original_y(values):
         (_set_original_y(lambda n: [0, 1] * (n // 2) + [1]), "differ in length"),
         (_set_original_y(lambda n: [7] + [1] * (n - 1)), "original_y labels must be 0 or 1"),
         (_set_original_y(lambda n: [0.5] + [1] * (n - 1)), "original_y labels must be 0 or 1"),
+        (_relabel_symmetry, "unknown symmetry 'so3'"),
     ],
     ids=[
         "short-y", "short-rep_index", "short-angle", "short-reflect",
         "nan-X", "inf-X", "label-2", "label-minus-1", "label-half", "small-B",
-        "long-original_y", "original-label-7", "original-label-half",
+        "long-original_y", "original-label-7", "original-label-half", "unknown-symmetry",
     ],
 )
 def test_load_dataset_rejects_malformed_samples(tmp_path, mutate, message):

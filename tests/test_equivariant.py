@@ -24,9 +24,11 @@ from equibound.groups import build_group
 from equibound.irreps import (
     fourier_transform,
     group_circulant,
+    intertwiner_basis,
     irreps_of,
     regular_representation,
     restricted_frequency_rep,
+    shared_irreps,
     stack_rep,
     trivial_stack,
 )
@@ -51,6 +53,22 @@ def test_layer_shares_only_common_irreps():
     layer = EquivariantLayer(in_rep, out_rep)
     assert set(layer.coefficients) == {"freq:1"}
     assert layer.coefficients["freq:1"].shape == (2, 1, 2)  # m_out, m_in, c
+
+
+@pytest.mark.parametrize("kind,N", [("cyclic", 1), ("cyclic", 6), ("dihedral", 4), ("quaternion", 8)])
+def test_layer_shared_is_the_shared_irreps_record(kind, N):
+    """Every layer reads the one SharedIrrep table, and each record's basis is
+    the irrep's intertwiner basis."""
+    G, net = _small_net(kind, N)
+    for layer in net.layers:
+        assert layer.shared == shared_irreps(layer.in_rep, layer.out_rep)
+        assert list(layer.coefficients) == [b.irrep_id for b in layer.shared]
+        for b in layer.shared:
+            assert b.basis is intertwiner_basis(G, b.psi)
+            assert (b.irrep_id, b.dim) == (b.psi.id, b.psi.dim)
+            assert b.in_cols == slice(b.in_offset, b.in_offset + b.m_in * b.dim)
+            assert b.out_cols == slice(b.out_offset, b.out_offset + b.m_out * b.dim)
+            assert layer.coefficients[b.irrep_id].shape == (b.m_out, b.m_in, len(b.basis))
 
 
 def test_layer_equivariance_random_coefficients():
@@ -400,9 +418,6 @@ def test_train_config_validation():
         {"learning_rate": -1.0},
         {"learning_rate": np.inf},
         {"learning_rate": np.nan},
-        {"target_fraction": 0.0},
-        {"target_fraction": 1.5},
-        {"target_fraction": np.nan},
     ):
         field = next(iter(bad))
         with pytest.raises(ValueError, match=field):
@@ -410,8 +425,8 @@ def test_train_config_validation():
 
 
 def test_train_config_accepts_edge_values():
-    cfg = TrainConfig(gamma=1.0, max_epochs=1, batch_size=1, learning_rate=1e-12, target_fraction=1.0)
-    assert cfg.target_fraction == 1.0
+    cfg = TrainConfig(gamma=1.0, max_epochs=1, batch_size=1, learning_rate=1e-12)
+    assert (cfg.max_epochs, cfg.batch_size, cfg.learning_rate) == (1, 1, 1e-12)
 
 
 @pytest.mark.parametrize("chunk", [None, 5])

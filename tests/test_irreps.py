@@ -21,11 +21,13 @@ from equibound.irreps import (
     regular_representation,
     rep_from_json,
     rep_to_json,
+    rep_violation,
     restricted_frequency_rep,
     shared_irreps,
     stack_rep,
     trivial_stack,
 )
+from equibound.verify import rep_invariants_check
 
 ALL_GROUPS = (
     [("cyclic", n) for n in range(1, 17)]
@@ -256,6 +258,11 @@ def test_fourier_roundtrip_and_shift(kind, N):
     for _ in range(10):
         x = rng.standard_normal(G.order)
         coeffs = fourier_transform(G, x)
+        full = fourier_transform_full(G, x)
+        for p in irreps_of(G):
+            keep = p.dim // p.type_c
+            assert np.array_equal(coeffs[p.id], np.einsum("g,gpq->pq", x, p.matrices[:, :, :keep]))
+            assert np.array_equal(coeffs[p.id], full[p.id][:, :keep])
         np.testing.assert_allclose(inverse_fourier(G, coeffs), x, atol=1e-12)
         g = int(rng.integers(0, G.order))
         shifted_coeffs = fourier_transform(G, mats[g] @ x)
@@ -506,7 +513,9 @@ def test_shared_irreps_matches_catalog_loop(kind, N):
             assert all(m_in > 0 and m_out > 0 for _, _, m_in, _, m_out in got)
 
 
-@pytest.mark.parametrize(
+# (kind, N, build): build(G) gives a stacked rep, the explicit action of
+# its base rep, and its channel count.
+STACK_CASES = pytest.mark.parametrize(
     "kind, N, build",
     [
         ("cyclic", 1, lambda G: (stack_rep(regular_representation(G), 4), regular_matrices(G), 4)),
@@ -534,6 +543,9 @@ def test_shared_irreps_matches_catalog_loop(kind, N):
         "d4-frequency", "c3-stack-of-stack",
     ],
 )
+
+
+@STACK_CASES
 def test_stack_block_transform_agrees_with_dense(kind, N, build):
     """The factored basis change against the dense Q, and the action against
     kron(explicit base action, I_channels)."""
@@ -548,6 +560,24 @@ def test_stack_block_transform_agrees_with_dense(kind, N, build):
     np.testing.assert_allclose(rep.from_block(rep.to_block(X)), X, atol=1e-12)
     for g in range(G.order):
         np.testing.assert_allclose(rep.rho(g), np.kron(action[g], np.eye(channels)), atol=1e-12)
+
+
+@STACK_CASES
+def test_rep_violation_is_the_three_maxima(kind, N, build):
+    """rep_violation is max|Q^T Q - I|, max|Q Q^T - I| and, given rho, the
+    block-diagonal error; rep_invariants_check reports exactly that value."""
+    G = build_group(kind, N)
+    rep, action, channels = build(G)
+    rho = np.stack([np.kron(a, np.eye(channels)) for a in action])
+    Q, eye = rep.Q, np.eye(rep.dim)
+    orth = max(np.max(np.abs(Q.T @ Q - eye)), np.max(np.abs(Q @ Q.T - eye)))
+    blocks = max(
+        np.max(np.abs(Q.T @ rho[g] @ Q - rep.block_diagonal(g))) for g in range(G.order)
+    )
+    assert rep_violation(rep) == orth
+    assert rep_violation(rep, rho) == max(orth, blocks)
+    assert rep_violation(rep, rho) < 1e-12
+    assert rep_invariants_check(rep, rho).max_violation == rep_violation(rep, rho)
 
 
 @pytest.mark.parametrize(
