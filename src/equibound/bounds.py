@@ -5,8 +5,9 @@ specialization to group-convolutional architectures, and a coarser
 norm-based bound whose only group dependence is an explicit 1/sqrt|H|
 prefactor, together with the supporting quantities: per-layer spectral
 and Fourier norms, the multiplicity factor M(l, eta), the combinatorial
-factor xi(m), spectral tail thresholds for random equivariant matrices,
-and the perturbation inequality right-hand side.  `BoundInputs` caches
+factor xi(m) = 1 + Q(m) (Ramanujan's Q; xi(m) ~ sqrt(pi m / 2) + 2/3),
+spectral tail thresholds for random equivariant matrices, and the
+perturbation inequality right-hand side.  `BoundInputs` caches
 each per-layer factor (norms, Fourier sums, multiplicity factors) once
 for every report that reads it.
 
@@ -24,10 +25,9 @@ from dataclasses import dataclass, field, fields
 from functools import cache, cached_property
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
 
 from .equivariant import EquivariantNetwork
-from .irreps import irreps_of, shared_irreps
+from .irreps import SharedIrrep, irreps_of, shared_irreps
 
 __all__ = [
     "BoundInputs",
@@ -96,6 +96,11 @@ def fourier_frobenius_sum(layer) -> float:
     return float(sum(np.vdot(a, a) for a in layer.coefficients.values()))
 
 
+def _irrep_complexity(b: SharedIrrep) -> float:
+    """5 * m_in,psi * m_out,psi * c_psi of one shared irrep psi of a layer."""
+    return 5.0 * b.m_in * b.m_out * b.psi.type_c
+
+
 def m_factor(net: EquivariantNetwork, l: int, eta: float) -> float:
     """Multiplicity factor M(l, eta) for layer l (1-based).
 
@@ -108,10 +113,7 @@ def m_factor(net: EquivariantNetwork, l: int, eta: float) -> float:
     if not 1 <= l <= net.depth:
         raise ValueError(f"layer index {l} out of range")
     total = sum(mult for rep in net.reps[1:] for _, mult in rep.blocks)
-    worst = max(
-        (5.0 * b.m_in * b.m_out * b.basis.shape[0] for b in net.layers[l - 1].shared),
-        default=0.0,
-    )
+    worst = max(map(_irrep_complexity, net.layers[l - 1].shared), default=0.0)
     return math.log(total / (1.0 - eta)) * worst
 
 
@@ -119,22 +121,15 @@ def m_factor(net: EquivariantNetwork, l: int, eta: float) -> float:
 def xi(m: int) -> float:
     """The binomial factor sum_k C(m,k)(k/m)^k(1-k/m)^(m-k), 0^0 = 1.
 
-    Evaluated termwise in the log domain; raises OverflowError rather
-    than returning infinity.  Values are cached per m: a sweep bounds
-    many networks trained on the same number of samples.
+    The sum equals 1 + Q(m), Ramanujan's Q(m) = sum_{j=1..m} prod_{i<j}
+    (1 - i/m) (Knuth, TAOCP 1, 1.2.11.3), a sum of m terms in [0, 1], so
+    xi(m) <= m + 1 and it grows like sqrt(pi m / 2) + 2/3.  Values are
+    cached per m: a sweep bounds many networks trained on the same number
+    of samples.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    k = np.arange(m + 1, dtype=np.float64)
-    log_binom = gammaln(m + 1) - gammaln(k + 1) - gammaln(m - k + 1)
-    frac = k / m
-    with np.errstate(divide="ignore", invalid="ignore"):
-        term_k = np.where(k == 0, 0.0, k * np.log(frac))
-        term_mk = np.where(k == m, 0.0, (m - k) * np.log(1.0 - frac))
-    value = float(np.exp(logsumexp(log_binom + term_k + term_mk)))
-    if not math.isfinite(value):
-        raise OverflowError(f"xi({m}) overflows a float")
-    return value
+    return float(1.0 + np.cumprod(1.0 - np.arange(m) / m).sum())
 
 
 def _layer_norms(net: EquivariantNetwork) -> tuple[list[float], list[float]]:
@@ -216,9 +211,9 @@ def tail_threshold(in_rep, out_rep, sigma: float, t: float) -> TailBounds:
     worst = 0.0
     worst_tight = 0.0
     mult_total = 0
-    for psi, _, m_in, _, m_out in shared_irreps(in_rep, out_rep):
-        c = psi.type_c
-        worst = max(worst, 5.0 * m_in * m_out * c * t)
+    for b in shared_irreps(in_rep, out_rep):
+        m_in, m_out, c = b.m_in, b.m_out, b.psi.type_c
+        worst = max(worst, _irrep_complexity(b) * t)
         worst_tight = max(
             worst_tight,
             m_in * (m_out * c + 2.0 * m_out * c * math.sqrt(t) + 2.0 * t),

@@ -604,8 +604,8 @@ def _sweep_summary(rows: list[dict]) -> dict:
 
 
 def _spearman(a: list[float], b: list[float]) -> float:
-    # Imported here: scipy.stats takes most of the package's import time,
-    # and only sweep summaries need it.
+    # The package's only scipy import, made here on first use: only sweep
+    # summaries need it, and importing equibound then loads numpy alone.
     from scipy.stats import spearmanr
 
     rho = spearmanr(a, b).statistic

@@ -125,16 +125,17 @@ def test_xi_frozen_values():
     assert xi(2) == pytest.approx(2.5, abs=1e-14)
 
 
+def _xi_exact(m: int) -> Fraction:
+    """sum_k C(m,k) k^k (m-k)^(m-k) / m^m as an exact rational (0^0 = 1)."""
+    return Fraction(
+        sum(math.comb(m, k) * k**k * (m - k) ** (m - k) for k in range(m + 1)), m**m
+    )
+
+
 def test_xi_matches_exact_summation_small():
-    for m in range(1, 31):
-        exact = Fraction(0)
-        for k in range(0, m + 1):
-            exact += (
-                Fraction(math.comb(m, k))
-                * Fraction(k, m) ** k
-                * Fraction(m - k, m) ** (m - k)
-            )
-        assert abs(xi(m) - float(exact)) <= 1e-12 * float(exact)
+    for m in [*range(1, 31), 64, 200, 400]:
+        exact = float(_xi_exact(m))
+        assert abs(xi(m) - exact) <= 4 * np.spacing(exact), m
 
 
 def test_xi_matches_float_summation_medium():
@@ -152,9 +153,13 @@ def test_xi_validation():
 
 
 def test_xi_grows_like_sqrt_m():
-    values = [xi(m) for m in (10, 100, 1000, 10000)]
+    ms = [10**k for k in range(1, 7)]
+    values = [xi(m) for m in ms]
     assert all(b > a for a, b in zip(values, values[1:]))
-    assert 0.5 < values[-1] / math.sqrt(10000) < 3.0
+    # xi(m) = 1 + Q(m) = sqrt(pi m / 2) + 2/3 + O(1/sqrt(m)); the residual
+    # times sqrt(m) rises towards sqrt(pi / 2) / 12 = 0.1044.
+    for m, value in zip(ms, values):
+        assert abs(value - math.sqrt(math.pi * m / 2) - 2 / 3) <= 0.11 / math.sqrt(m), m
 
 
 # ---------------------------------------------------- Fourier Frobenius sum
