@@ -23,9 +23,19 @@ update then costs less than the two basis changes of every batch.
 Gradients are formed in block coordinates on both routes.
 
 `train` runs Adam in place: each coefficient array and its two moments
-are updated by a fixed sequence of `out=` ufuncs over chunks of
-ADAM_CHUNK elements through two scratch buffers, so a step allocates
-nothing and gives the textbook expression's values bit for bit.
+are updated by a fixed sequence of `out=` ufuncs, over chunks of
+ADAM_CHUNK elements (an array that fits in one is updated whole)
+through two scratch buffers, so a step allocates nothing and gives the
+textbook expression's values bit for bit.
+
+Every weight state of a layer has its own `version`, renewed by
+`mark_dirty`, and a network remembers the margins of the last set it
+evaluated, keyed by its layers' versions and a digest of the set: a
+repeated `margins` call on unchanged weights and data (the stopping
+check of `train`'s last epoch, then the 0-1 and margin losses of the
+bound report) costs one hash, not a forward pass.  So coefficients may
+be mutated in place only when `mark_dirty` follows, which the
+superblock and dense-matrix caches require as well.
 
 Networks alternate these layers with pointwise ReLU applied in the
 represented coordinates (the group domain for regular-representation
@@ -39,6 +49,8 @@ records.
 
 from __future__ import annotations
 
+import hashlib
+import itertools
 import json
 import math
 import os
@@ -82,6 +94,9 @@ __all__ = [
 # EquivariantLayer.blockwise).
 EVAL_ROWS = 256
 
+# Source of layer versions: no two weight states of any layers share one.
+_VERSIONS = itertools.count()
+
 
 def _products(
     rows: int, dim: int, parts: list[tuple[slice, np.ndarray, np.ndarray]]
@@ -106,7 +121,9 @@ class EquivariantLayer:
     arrays of shape (m_out, m_in, c_psi), one per record of `shared`
     (`shared_irreps(in_rep, out_rep)`).  The superblocks they expand
     to are cached, and so is the dense `matrix` once read; call
-    `mark_dirty` after mutating coefficient arrays in place.
+    `mark_dirty` after mutating coefficient arrays in place.  It also
+    renews `version`, which names the weight state in the network's
+    margins memo (see `margins`).
 
     `blockwise` selects how `apply` computes A W^T: through the
     superblocks, or through the dense matrix.  It is true when W has
@@ -126,6 +143,7 @@ class EquivariantLayer:
         }
         self._superblocks: dict[str, np.ndarray] | None = None
         self._matrix: np.ndarray | None = None
+        self.version = next(_VERSIONS)
         n_in, n_out = in_rep.dim, out_rep.dim
         self.blockwise = n_in * n_out > EVAL_ROWS * (n_in + n_out)
 
@@ -138,9 +156,10 @@ class EquivariantLayer:
         return sum(a.size for a in self.coefficients.values())
 
     def mark_dirty(self) -> None:
-        """Drop the cached superblocks and dense matrix."""
+        """Drop the cached superblocks and dense matrix; renew `version`."""
         self._superblocks = None
         self._matrix = None
+        self.version = next(_VERSIONS)
 
     def set_coefficients(self, values: dict[str, np.ndarray]) -> None:
         """Replace coefficient arrays (copied; shapes validated)."""
@@ -167,7 +186,8 @@ class EquivariantLayer:
     def superblocks(self) -> dict[str, np.ndarray]:
         """Per-irrep dense blocks (d*m_out, d*m_in) in block coordinates.
 
-        Cached until dirty; callers must not modify the arrays.
+        Cached until dirty; callers must not modify the arrays.  The block
+        of an irrep with the basis [[1]] is a view of its coefficients.
         """
         if self._superblocks is None:
             self._superblocks = {
@@ -216,6 +236,8 @@ class EquivariantNetwork:
 
     Each layer's input rep must be the previous layer's output rep; the
     group, hidden channel counts and class count are read from the reps.
+    The network holds the memo of `margins`: one entry, the layers'
+    versions, a digest of the set and its margins.
     """
 
     def __init__(self, layers: list[EquivariantLayer]):
@@ -230,6 +252,7 @@ class EquivariantNetwork:
         self.group = layers[0].group
         self.hidden_channels = tuple(layer.out_rep.channels for layer in layers[:-1])
         self.n_classes = layers[-1].out_rep.dim
+        self._margins_memo: tuple[tuple[int, ...], bytes, np.ndarray] | None = None
 
     @property
     def input_rep(self) -> RepSpec:
@@ -374,13 +397,32 @@ def build_network(
     return EquivariantNetwork(layers)
 
 
+def _digest(*arrays: np.ndarray) -> bytes:
+    """A blake2b digest of each array's shape, dtype and bytes."""
+    h = hashlib.blake2b(digest_size=16)
+    for a in arrays:
+        h.update(f"{a.shape}{a.dtype.str}".encode())
+        h.update(np.ascontiguousarray(a))
+    return h.digest()
+
+
 def margins(net: EquivariantNetwork, X: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Per-sample margin: true-class logit minus the best other logit.
 
-    The forward pass runs over blocks of EVAL_ROWS rows.
+    The forward pass runs over blocks of EVAL_ROWS rows.  `net` keeps
+    the result of its last call, keyed by its layers' versions and a
+    digest of X (as float64) and y, and a call with the same key returns
+    a copy of it without a forward pass.  An in-place edit of X or y
+    changes the digest; an in-place edit of the coefficients is seen
+    only through `mark_dirty`, which every update in this module calls.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y)
+    versions = tuple(layer.version for layer in net.layers)
+    digest = _digest(X, y)
+    memo = net._margins_memo
+    if memo is not None and memo[0] == versions and memo[1] == digest:
+        return memo[2].copy()
     out = np.empty(X.shape[0])
     for start in range(0, X.shape[0], EVAL_ROWS):
         stop = start + EVAL_ROWS
@@ -390,6 +432,7 @@ def margins(net: EquivariantNetwork, X: np.ndarray, y: np.ndarray) -> np.ndarray
         true = logits[rows, labels]
         logits[rows, labels] = -np.inf
         out[start:stop] = true - logits.max(axis=1)
+    net._margins_memo = (versions, digest, out.copy())
     return out
 
 
@@ -470,9 +513,34 @@ ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 ADAM_CHUNK = 32768
 
 
-def _adam_rows(arr: np.ndarray) -> int:
-    """Leading-axis rows of `arr` per chunk of the Adam update (at least one)."""
-    return max(1, ADAM_CHUNK // arr[0].size)
+def _adam_state(
+    net: EquivariantNetwork,
+) -> dict[tuple[int, str], tuple[np.ndarray, ...]]:
+    """Per coefficient array: its two moments and two scratch views of one chunk.
+
+    A chunk is the leading-axis rows of ADAM_CHUNK elements (at least
+    one row, at most the array).  Every array's scratch views share the
+    same two buffers.
+    """
+    arrays = {
+        (l, pid): arr
+        for l, layer in enumerate(net.layers)
+        for pid, arr in layer.coefficients.items()
+    }
+    chunks = {
+        key: (min(arr.shape[0], max(1, ADAM_CHUNK // arr[0].size)),) + arr.shape[1:]
+        for key, arr in arrays.items()
+    }
+    size = max(math.prod(shape) for shape in chunks.values())
+    buffers = (np.empty(size), np.empty(size))
+    return {
+        key: (
+            np.zeros_like(arr),
+            np.zeros_like(arr),
+            *(buf[: math.prod(chunks[key])].reshape(chunks[key]) for buf in buffers),
+        )
+        for key, arr in arrays.items()
+    }
 
 
 def _adam_update(
@@ -480,10 +548,11 @@ def _adam_update(
     g: np.ndarray,
     m1: np.ndarray,
     m2: np.ndarray,
+    u: np.ndarray,
+    v: np.ndarray,
     lr: float,
     corr1: float,
     corr2: float,
-    scratch: tuple[np.ndarray, np.ndarray],
 ) -> None:
     """One Adam step on `coef` and its moments, in place and chunk by chunk.
 
@@ -491,30 +560,37 @@ def _adam_update(
         m1 = b1*m1 + (1-b1)*g;  m2 = b2*m2 + (1-b2)*(g*g)
         coef -= lr * ((m1/corr1) / (sqrt(m2/corr2) + eps))
     in that order and unfolded, so the result is the expression's bit for
-    bit.  The chunks are slices of the leading axis, so `g` need not be
-    contiguous.
-    `scratch` holds two flat buffers of at least one chunk each.
+    bit.  `u` and `v` are scratch arrays of one chunk's shape (see
+    `_adam_state`); an array of one chunk is updated whole, a larger one
+    in slices of the leading axis, so `g` need not be contiguous.
     """
-    rows = _adam_rows(coef)
+    rows = u.shape[0]
+    if rows == coef.shape[0]:
+        _adam_ops(coef, g, m1, m2, u, v, lr, corr1, corr2)
+        return
     for start in range(0, coef.shape[0], rows):
         part = slice(start, start + rows)
-        c, gp, a, b = coef[part], g[part], m1[part], m2[part]
-        u = scratch[0][: c.size].reshape(c.shape)
-        v = scratch[1][: c.size].reshape(c.shape)
-        np.multiply(a, ADAM_BETA1, out=a)
-        np.multiply(gp, 1.0 - ADAM_BETA1, out=u)
-        np.add(a, u, out=a)
-        np.multiply(b, ADAM_BETA2, out=b)
-        np.multiply(gp, gp, out=u)
-        np.multiply(u, 1.0 - ADAM_BETA2, out=u)
-        np.add(b, u, out=b)
-        np.divide(b, corr2, out=u)
-        np.sqrt(u, out=u)
-        np.add(u, ADAM_EPS, out=u)
-        np.divide(a, corr1, out=v)
-        np.divide(v, u, out=v)
-        np.multiply(v, lr, out=v)
-        np.subtract(c, v, out=c)
+        c = coef[part]
+        n = c.shape[0]
+        _adam_ops(c, g[part], m1[part], m2[part], u[:n], v[:n], lr, corr1, corr2)
+
+
+def _adam_ops(c, g, a, b, u, v, lr: float, corr1: float, corr2: float) -> None:
+    """The in-place ufunc sequence of `_adam_update` on arrays of one shape."""
+    np.multiply(a, ADAM_BETA1, a)
+    np.multiply(g, 1.0 - ADAM_BETA1, u)
+    np.add(a, u, a)
+    np.multiply(b, ADAM_BETA2, b)
+    np.multiply(g, g, u)
+    np.multiply(u, 1.0 - ADAM_BETA2, u)
+    np.add(b, u, b)
+    np.divide(b, corr2, u)
+    np.sqrt(u, u)
+    np.add(u, ADAM_EPS, u)
+    np.divide(a, corr1, v)
+    np.divide(v, u, v)
+    np.multiply(v, lr, v)
+    np.subtract(c, v, c)
 
 
 def train(
@@ -528,6 +604,8 @@ def train(
     The Adam step updates each coefficient array and its two moments in
     place through two scratch buffers allocated here, once per call; its
     values are the textbook expression's, bit for bit (see `_adam_update`).
+    Each update is followed by `mark_dirty`, so the epoch-end margins
+    are left in the network's memo for the same set (see `margins`).
 
     After each epoch the fraction of training points with margin
     strictly above cfg.gamma is evaluated; training stops once it
@@ -543,17 +621,7 @@ def train(
     if y.min() < 0 or y.max() >= net.n_classes:
         raise ValueError("labels out of range")
     rng = np.random.default_rng(cfg.seed)
-    moments = {
-        (l, pid): (np.zeros_like(arr), np.zeros_like(arr))
-        for l, layer in enumerate(net.layers)
-        for pid, arr in layer.coefficients.items()
-    }
-    scratch_size = max(
-        min(arr.shape[0], _adam_rows(arr)) * arr[0].size
-        for layer in net.layers
-        for arr in layer.coefficients.values()
-    )
-    scratch = (np.empty(scratch_size), np.empty(scratch_size))
+    state = _adam_state(net)
     step = 0
     result = TrainResult(epochs=0, margin_accuracy=0.0)
     for epoch in range(1, cfg.max_epochs + 1):
@@ -575,11 +643,10 @@ def train(
                     _adam_update(
                         layer.coefficients[pid],
                         g,
-                        *moments[(l, pid)],
+                        *state[(l, pid)],
                         cfg.learning_rate,
                         corr1,
                         corr2,
-                        scratch,
                     )
                 layer.mark_dirty()
         if not all(

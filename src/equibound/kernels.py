@@ -1,13 +1,16 @@
 """The two coefficient kernels: expand to superblocks, project gradients back.
 
 Large dense matmuls are deliberately left to numpy/BLAS and do not live
-here.  A one-dimensional irrep has a single (1, 1) basis matrix, so
-expanding is one elementwise product by that scalar: one pass over the
-entries, where the general `einsum` scales them slowly.  The product is
-the single term the sum computes, so the values are the same bit for
-bit, except that a product of -0.0 keeps its sign where the sum, which
-starts from +0.0, returns +0.0.  For the basis [[1]], which every
-one-dimensional catalog irrep has, projecting is a reshape (a view).
+here.  Expanding is one (blocks x c)(c x d*d) matmul and one transposed
+copy into the superblock layout.  Every catalog basis has entries in
+{0, 1, -1} with one nonzero term per superblock entry, so each entry is
+one exact product plus zeros, and the values equal those of the
+`einsum` over the same sum bit for bit, signs of zeros included (a test
+checks every catalog irrep).  For the basis [[1]], which every
+one-dimensional catalog irrep has, expanding and projecting are
+reshapes (views): such a superblock is its coefficient array itself,
+which keeps the sign of a -0.0 coefficient where the sum, which starts
+from +0.0, returns +0.0.
 """
 
 from __future__ import annotations
@@ -30,14 +33,15 @@ def expand_coefficients(coeffs: np.ndarray, basis: np.ndarray) -> np.ndarray:
     coeffs has shape (m_out, m_in, c) and basis has shape (c, d, d); the
     result is the (d*m_out, d*m_in) matrix sum_k kron(basis[k],
     coeffs[:, :, k]), whose entry [p*m_out + j, q*m_in + i] is
-    sum_k basis[k, p, q] * coeffs[j, i, k].
+    sum_k basis[k, p, q] * coeffs[j, i, k].  For the basis [[1]] the
+    result is a view of `coeffs`.
     """
-    m_out, m_in, _ = coeffs.shape
-    if basis.shape == (1, 1, 1):
-        return coeffs.reshape(m_out, m_in) * basis[0, 0, 0]
+    m_out, m_in, c = coeffs.shape
+    if basis.shape == (1, 1, 1) and basis[0, 0, 0] == 1.0:
+        return coeffs.reshape(m_out, m_in)
     d = basis.shape[1]
-    blocks = np.einsum("kpq,jik->pjqi", basis, coeffs)
-    return np.ascontiguousarray(blocks.reshape(d * m_out, d * m_in))
+    blocks = (coeffs.reshape(-1, c) @ basis.reshape(c, d * d)).reshape(m_out, m_in, d, d)
+    return blocks.transpose(2, 0, 3, 1).reshape(d * m_out, d * m_in)
 
 
 def project_coefficients(grad: np.ndarray, basis: np.ndarray) -> np.ndarray:

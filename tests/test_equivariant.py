@@ -108,11 +108,15 @@ def test_superblock_cache_follows_coefficients():
     blocks = layer.superblocks()
     assert layer.superblocks() is blocks  # cached, no re-expansion
     pid = next(iter(layer.coefficients))
+    # The trivial irrep's basis is [[1]], so its block is a view of the
+    # coefficients: keep the old values to compare against.
+    before = blocks[pid].copy()
     layer.coefficients[pid] += 1.0
     layer.mark_dirty()
     again = layer.superblocks()
     assert again is not blocks
-    assert not np.array_equal(again[pid], blocks[pid])
+    assert not np.array_equal(again[pid], before)
+    np.testing.assert_array_equal(again[pid], before + 1.0)
     layer.set_coefficients({pid: layer.coefficients[pid] * 2.0})
     assert layer.superblocks() is not again
 
@@ -313,6 +317,111 @@ def test_empirical_margin_loss_thresholds():
     assert empirical_margin_loss(net, X, y, big) == 1.0
     with pytest.raises(ValueError):
         empirical_margin_loss(net, X, y, -1.0)
+
+
+def _counting_forward(monkeypatch) -> list[int]:
+    """Record the row count of every EquivariantNetwork.forward call."""
+    rows = []
+    plain = EquivariantNetwork.forward
+
+    def forward(self, X):
+        rows.append(np.shape(X)[0])
+        return plain(self, X)
+
+    monkeypatch.setattr(EquivariantNetwork, "forward", forward)
+    return rows
+
+
+def _memo_case():
+    """A net, a twin with the same coefficients, and a set of 300 rows."""
+    _, net = _small_net(seed=6)
+    _, twin = _small_net(seed=6)
+    rng = np.random.default_rng(8)
+    X = rng.standard_normal((300, net.input_rep.dim))
+    y = rng.integers(0, 2, 300)
+    return net, twin, X, y
+
+
+def test_margins_memo_skips_the_repeated_pass(monkeypatch):
+    net, twin, X, y = _memo_case()
+    expected = margins(twin, X, y)
+    rows = _counting_forward(monkeypatch)
+    first = margins(net, X, y)
+    second = margins(net, X, y)
+    assert rows == [256, 44]  # one pass, in blocks of EVAL_ROWS
+    assert first.tobytes() == expected.tobytes()
+    assert second.tobytes() == expected.tobytes()
+    first[:] = 7.0
+    second[:] = 7.0
+    assert margins(net, X, y).tobytes() == expected.tobytes()
+    assert empirical_margin_loss(net, X, y, 0.0) == np.mean(expected <= 0.0)
+    assert rows == [256, 44]
+
+
+@pytest.mark.parametrize(
+    "change",
+    ["mark_dirty", "set_coefficients", "edit_X", "other_y", "fewer_rows"],
+)
+def test_margins_memo_misses_after_a_change(change, monkeypatch):
+    """Any change of weights or data runs the forward pass again."""
+    net, twin, X, y = _memo_case()
+    margins(net, X, y)
+    if change == "mark_dirty":
+        net.layers[1].mark_dirty()
+    elif change == "set_coefficients":
+        for model in (net, twin):
+            layer = model.layers[0]
+            pid = next(iter(layer.coefficients))
+            layer.set_coefficients({pid: layer.coefficients[pid] * 2.0})
+    elif change == "edit_X":
+        X[3, 0] += 1.0
+    elif change == "other_y":
+        y = 1 - y
+    else:
+        X, y = X[:200], y[:200]
+    rows = _counting_forward(monkeypatch)
+    got = margins(net, X, y)
+    assert sum(rows) == len(X)
+    assert got.tobytes() == margins(twin, X, y).tobytes()
+
+
+def test_margins_memo_misses_after_a_train_epoch(monkeypatch):
+    """The epoch-end check runs its pass, and leaves its margins in the memo."""
+    net, twin, X, y = _memo_case()
+    before = margins(net, X, y)
+    cfg = TrainConfig(gamma=1e6, max_epochs=1, batch_size=64, seed=2)
+    rows = _counting_forward(monkeypatch)
+    with pytest.raises(MarginNotReached):
+        train(net, X, y, cfg)
+    assert rows == [256, 44]
+    got = margins(net, X, y)
+    assert rows == [256, 44]
+    with pytest.raises(MarginNotReached):
+        train(twin, X, y, cfg)
+    assert got.tobytes() == margins(twin, X, y).tobytes()
+    assert got.tobytes() != before.tobytes()
+
+
+def test_bound_report_after_train_passes_over_the_test_set_only(monkeypatch):
+    """train's last epoch leaves the training margins that the report reads."""
+    from equibound import cli
+    from equibound.datasets import generate_synthetic, input_rep_for, sample
+
+    spec = generate_synthetic("so2", 2, max_frequency=1, seed=3)
+    train_set = sample(spec, 300, "none", seed=4)
+    test_set = sample(spec, 120, "group", seed=5)
+    G = build_group("cyclic", 4)
+    net = build_network(G, input_rep_for(spec, G), [3], 2, seed=6)
+    cfg = TrainConfig(gamma=1e6, max_epochs=2, batch_size=64, seed=7)
+    with pytest.raises(MarginNotReached):
+        train(net, train_set.X, train_set.y, cfg)
+    rows = _counting_forward(monkeypatch)
+    report = cli._bound_report(net, train_set, test_set, 0.1, 0.5, 0.05)
+    assert rows == [120]
+    net.layers[0].mark_dirty()
+    mg = margins(net, train_set.X, train_set.y)
+    assert report.train_err == np.mean(mg <= 0.0)
+    assert report.train_margin_loss == np.mean(mg <= 0.1)
 
 
 # ----------------------------------------------------------------- training

@@ -120,3 +120,34 @@ def test_unit_basis_projection_returns_the_gradient_itself():
     assert out.shape == (6, 5, 1)
     assert np.shares_memory(out, grad)
     assert np.array_equal(out[:, :, 0], grad)
+
+
+def test_expand_equals_einsum_bit_for_bit_on_catalog_bases():
+    """The matmul expansion gives the einsum's bits on every catalog irrep.
+
+    Zero coefficients of both signs included: for the basis [[1]] the
+    block is a view of the coefficients, so it keeps a -0.0 where the
+    einsum's sum returns +0.0; every other block has the einsum's signs.
+    """
+    from equibound.groups import build_group
+    from equibound.irreps import intertwiner_basis, irreps_of
+
+    rng = np.random.default_rng(8)
+    for kind, ns in (("cyclic", range(1, 17)), ("dihedral", range(1, 9)), ("quaternion", (8,))):
+        for N in ns:
+            G = build_group(kind, N)
+            for psi in irreps_of(G):
+                basis = intertwiner_basis(G, psi)
+                c, d, _ = basis.shape
+                coeffs = rng.standard_normal((7, 5, c))
+                coeffs[0] = 0.0
+                coeffs[1] = -0.0
+                coeffs[2, :, 0] = -0.0
+                old = np.einsum("kpq,jik->pjqi", basis, coeffs).reshape(7 * d, 5 * d)
+                new = kernels.expand_coefficients(coeffs, basis)
+                assert np.array_equal(new, old), (kind, N, psi.id)
+                if d == 1:
+                    assert np.shares_memory(new, coeffs)
+                    assert np.array_equal(np.signbit(new), np.signbit(coeffs[:, :, 0]))
+                else:
+                    assert np.array_equal(np.signbit(new), np.signbit(old)), (kind, N, psi.id)
