@@ -11,6 +11,12 @@ perturbation inequality right-hand side.  `BoundInputs` caches
 each per-layer factor (norms, Fourier sums, multiplicity factors) once
 for every report that reads it.
 
+A layer's spectral norm is read from its Fourier coefficients: each
+shared irrep's superblock has the singular values of a small reduced
+matrix (the real coefficient matrix, a complex one, or the complex
+adjoint of a quaternion matrix), so the report never expands a
+superblock or the dense W.
+
 Two textual variants of the main bound exist; the canonical mode uses
 the product of squared spectral norms and a margin-free confidence
 term, while the as-written mode reproduces the alternative reading
@@ -50,34 +56,40 @@ __all__ = [
 ]
 
 
-# Power iteration stops once the residual |W^T W v - rho v| of the unit
+# Power iteration stops once the residual |W^H W v - rho v| of the unit
 # iterate v is at most this times rho = |W v|^2.  The residual bounds the
-# distance from rho to an eigenvalue of W^T W, and near the top one the
+# distance from rho to an eigenvalue of W^H W, and near the top one the
 # error in rho is of order residual^2 / spectral gap, far below this.
 POWER_ITERATION_TOL = 1e-6
 
 
 def spectral_norm(W: np.ndarray) -> float:
-    """Largest singular value, deterministic.
+    """Largest singular value of a real or complex matrix, deterministic.
 
-    Small matrices use a dense decomposition; larger ones use power
-    iteration on W^T W from a seeded start, stopped by its residual, with
-    an iteration cap and a dense fallback if the cap is hit.
+    When the short side is at most 64 it is the square root of the
+    largest eigenvalue of the short-side Gram matrix (W W^H or W^H W),
+    taken by `eigvalsh`: exact to rounding, and several times faster
+    than an SVD.  Larger matrices use power iteration on W^H W from a
+    seeded start, stopped by its residual, with an iteration cap and a
+    dense fallback if the cap is hit.
     """
-    W = np.asarray(W, dtype=np.float64)
+    W = np.asarray(W)
+    W = W.astype(np.complex128 if np.iscomplexobj(W) else np.float64, copy=False)
     if not np.all(np.isfinite(W)):
         raise ValueError("matrix has non-finite entries")
+    Wh = W.conj().T
     if min(W.shape) <= 64:
-        return float(np.linalg.svd(W, compute_uv=False)[0])
+        gram = W @ Wh if W.shape[0] <= W.shape[1] else Wh @ W
+        return math.sqrt(max(float(np.linalg.eigvalsh(gram)[-1]), 0.0))
     rng = np.random.default_rng(0)
     v = rng.standard_normal(W.shape[1])
     v /= np.linalg.norm(v)
     for _ in range(10000):
         w = W @ v
-        rho = float(w @ w)
+        rho = float(np.vdot(w, w).real)
         if rho == 0.0:
             return 0.0
-        g = W.T @ w
+        g = Wh @ w
         if np.linalg.norm(g - rho * v) <= POWER_ITERATION_TOL * rho:
             return math.sqrt(rho)
         v = g / np.linalg.norm(g)
@@ -132,22 +144,50 @@ def xi(m: int) -> float:
     return float(1.0 + np.cumprod(1.0 - np.arange(m) / m).sum())
 
 
+def _reduced_matrix(b: SharedIrrep, coef: np.ndarray) -> np.ndarray:
+    """The smallest matrix whose singular values are those of b's superblock.
+
+    `coef` is the (m_out, m_in, c) coefficient array.  The superblock is
+    sum_t kron(basis_t, coef_t), so its singular values are, each
+    repeated:
+    - real type (c = 1, kron(I_d, C)): those of coef[:, :, 0];
+    - complex type ([[C0, -C1], [C1, C0]] per pair of components): those
+      of C0 + i C1;
+    - quaternionic type: those of the complex adjoint
+      [[z, w], [-conj(w), conj(z)]], z = C0 + i C1 and w = C2 + i C3, of
+      the quaternion matrix C0 + C1 i + C2 j + C3 k.  The basis matrices
+      multiply as i j = k, so t -> (diag(i, -i), [[0, 1], [-1, 0]],
+      [[0, i], [i, 0]]) is an algebra map and keeps the singular values.
+    """
+    c = b.psi.type_c
+    if c == 1:
+        return coef[:, :, 0]
+    z = coef[:, :, 0] + 1j * coef[:, :, 1]
+    if c == 2:
+        return z
+    w = coef[:, :, 2] + 1j * coef[:, :, 3]
+    return np.block([[z, w], [-w.conj(), z.conj()]])
+
+
 def _layer_norms(net: EquivariantNetwork) -> tuple[list[float], list[float]]:
-    """Spectral and Frobenius norms of every layer, read from its Fourier side.
+    """Spectral and Frobenius norms of every layer, read from its coefficients.
 
     W = Q_out S Q_in^T with orthogonal Q and S block-diagonal over irreps,
-    so |W|_2 is the largest superblock spectral norm.  A superblock is
-    sum_t kron(basis_t, coef_t) with Frobenius-orthogonal basis matrices of
-    norm sqrt(dim), so |W|_F^2 = sum_psi dim_psi |coef_psi|^2.
+    so |W|_2 is the largest superblock spectral norm, which is that of
+    the irrep's reduced matrix (see _reduced_matrix); no superblock is
+    expanded.  A superblock is sum_t kron(basis_t, coef_t) with
+    Frobenius-orthogonal basis matrices of norm sqrt(dim), so
+    |W|_F^2 = sum_psi dim_psi |coef_psi|^2.
     """
     specs, fros = [], []
     for layer in net.layers:
-        blocks = layer.superblocks().values()
-        specs.append(max((spectral_norm(b) for b in blocks), default=0.0))
+        spec = 0.0
         fro_sq = 0.0
         for b in layer.shared:
             a = layer.coefficients[b.irrep_id]
+            spec = max(spec, spectral_norm(_reduced_matrix(b, a)))
             fro_sq += b.dim * np.vdot(a, a)
+        specs.append(spec)
         fros.append(math.sqrt(fro_sq))
     if any(s == 0.0 for s in specs):
         raise ValueError("a layer has zero spectral norm")

@@ -368,10 +368,10 @@ def load_dataset(path: str) -> tuple[DatasetSpec, SampleSet]:
     """Inverse of save_dataset.
 
     Raises ValueError for a symmetry that is not a family of SYMMETRIES,
-    and when the samples are inconsistent: per-sample arrays
-    (original_y included, when present) of different lengths, non-finite
-    features, a label or original label outside {0, 1}, or a B below the
-    largest feature norm.
+    for a file with no samples, and when the samples are inconsistent:
+    per-sample arrays (original_y included, when present) of different
+    lengths, non-finite features, a label or original label outside
+    {0, 1}, or a B below the largest feature norm.
     """
     with open(path) as f:
         data = json.load(f)
@@ -426,6 +426,8 @@ def _check_samples(path: str, samples: SampleSet) -> None:
     lengths = {name: len(getattr(samples, name)) for name in names}
     if len(set(lengths.values())) > 1:
         raise ValueError(f"{path}: per-sample arrays differ in length: {lengths}")
+    if len(samples.X) == 0:
+        raise ValueError(f"{path}: need at least one sample")
     if not np.all(np.isfinite(samples.X)):
         raise ValueError(f"{path}: X has non-finite entries")
     # B is stored as the largest row norm itself; the slack absorbs a

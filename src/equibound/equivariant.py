@@ -332,7 +332,7 @@ class EquivariantNetwork:
                 dA = layer.in_rep.from_block(dA)
             else:
                 dA = dZ @ layer.matrix
-            dZ = dA * masks[l - 1]
+            dZ = np.multiply(dA, masks[l - 1], out=dA)
         grads.reverse()
         return loss, grads
 
@@ -415,9 +415,12 @@ def margins(net: EquivariantNetwork, X: np.ndarray, y: np.ndarray) -> np.ndarray
     a copy of it without a forward pass.  An in-place edit of X or y
     changes the digest; an in-place edit of the coefficients is seen
     only through `mark_dirty`, which every update in this module calls.
+    Raises ValueError for an empty set, whose mean margin loss would be NaN.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y)
+    if len(X) == 0:
+        raise ValueError("need at least one sample")
     versions = tuple(layer.version for layer in net.layers)
     digest = _digest(X, y)
     memo = net._margins_memo

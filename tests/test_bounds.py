@@ -9,6 +9,7 @@ import pytest
 from equibound.bounds import (
     BoundInputs,
     BoundReport,
+    _reduced_matrix,
     alternative_bound,
     compute_report,
     csv_header,
@@ -35,14 +36,17 @@ from equibound.equivariant import (
 )
 from equibound.groups import build_group
 from equibound.irreps import (
+    SharedIrrep,
     direct_sum,
     group_circulant,
+    irrep_by_id,
     irreps_of,
     regular_representation,
     restricted_frequency_rep,
     stack_rep,
     trivial_stack,
 )
+from equibound.kernels import expand_coefficients
 from equibound.verify import dense_spectral_oracle
 
 
@@ -104,6 +108,16 @@ def test_spectral_norm_power_iteration_path():
     rng = np.random.default_rng(1)
     W = rng.standard_normal((100, 80))  # min dim > 64 forces iteration
     assert abs(spectral_norm(W) - np.linalg.norm(W, 2)) < 1e-10 * np.linalg.norm(W, 2)
+
+
+@pytest.mark.parametrize("shape", [(10, 40), (40, 10), (64, 64), (100, 80), (80, 100)])
+def test_spectral_norm_complex_matches_numpy(shape):
+    """Complex input, on the Gram route (short side <= 64) and the iterating one."""
+    rng = np.random.default_rng(2)
+    M = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    ref = np.linalg.norm(M, 2)
+    rtol = 1e-13 if min(shape) <= 64 else 1e-10
+    assert abs(spectral_norm(M) - ref) <= rtol * ref
 
 
 def test_spectral_norm_group_circulant_oracle():
@@ -538,15 +552,16 @@ def test_bound_inputs_validation():
 @pytest.mark.parametrize(
     "kind, N, channels, rtol",
     [
-        ("cyclic", 1, (6, 5), 1e-9),
-        ("cyclic", 8, (6, 5), 1e-9),
-        ("dihedral", 4, (5, 4), 1e-9),
-        ("quaternion", 8, (4, 3), 1e-9),
-        # Superblocks wider than 64 take spectral_norm's power iteration.
-        # Its residual stop leaves an error near 1e-11, held here to the
-        # tolerance of test_spectral_norm_power_iteration_path.
+        ("cyclic", 1, (6, 5), 1e-12),
+        ("cyclic", 8, (6, 5), 1e-12),
+        ("dihedral", 4, (5, 4), 1e-12),
+        ("quaternion", 8, (4, 3), 1e-12),
+        # A reduced matrix with both sides above 64 takes spectral_norm's
+        # power iteration.  Its residual stop leaves an error near 1e-11,
+        # held here to the tolerance of test_spectral_norm_power_iteration_path.
         ("cyclic", 1, (80, 70), 1e-10),
-        ("cyclic", 8, (40, 36), 1e-10),
+        # The freq irreps' reduced matrices are 36 x 40 complex.
+        ("cyclic", 8, (40, 36), 1e-12),
     ],
 )
 def test_report_norms_match_dense_matrix(kind, N, channels, rtol):
@@ -561,6 +576,58 @@ def test_report_norms_match_dense_matrix(kind, N, channels, rtol):
     for layer, spec, fro in zip(net.layers, report.spectral_norms, report.frobenius_norms):
         assert spec == pytest.approx(dense_spectral_oracle(layer.matrix), rel=rtol)
         assert fro == pytest.approx(np.linalg.norm(layer.matrix), rel=1e-12)
+
+
+# (group, irrep) pairs covering every type: real with d = 1 and d = 2,
+# complex, and quaternionic.
+_REDUCTION_CASES = [
+    ("cyclic", 1, "triv"),
+    ("dihedral", 4, "freq:1"),
+    ("dihedral", 5, "freq:2"),
+    ("cyclic", 3, "freq:1"),
+    ("cyclic", 8, "freq:3"),
+    ("cyclic", 16, "freq:7"),
+    ("quaternion", 8, "quat"),
+]
+
+
+@pytest.mark.parametrize("short", [5, 36, 70])
+@pytest.mark.parametrize("wide", [True, False], ids=["wide", "tall"])
+@pytest.mark.parametrize("kind, N, irrep_id", _REDUCTION_CASES)
+def test_reduced_norm_equals_superblock_norm(kind, N, irrep_id, short, wide):
+    """The reduced matrix's norm is the dense superblock's largest singular value.
+
+    `short` is the reduced matrix's short side.  The quaternionic complex
+    adjoint is twice the multiplicities on each side, so there it is
+    rounded down to even (5 becomes 4).
+    """
+    psi = irrep_by_id(build_group(kind, N), irrep_id)
+    scale = 2 if psi.type_c == 4 else 1
+    m_short, m_long = short // scale, (short + 9) // scale
+    m_out, m_in = (m_short, m_long) if wide else (m_long, m_short)
+    b = SharedIrrep(psi, 0, m_in, 0, m_out)
+    coef = np.random.default_rng(short).standard_normal((m_out, m_in, psi.type_c))
+    reduced = _reduced_matrix(b, coef)
+    assert min(reduced.shape) == scale * m_short
+    ref = np.linalg.svd(expand_coefficients(coef, b.basis), compute_uv=False)[0]
+    rtol = 1e-13 if min(reduced.shape) <= 64 else 1e-10
+    assert abs(spectral_norm(reduced) - ref) <= rtol * ref
+
+
+def test_compute_report_never_expands_a_superblock(monkeypatch):
+    G = build_group("quaternion", 8)
+    net = build_network(G, regular_representation(G), [3, 2], 2, seed=40)
+    _randomize(net, seed=41)
+    oracles = [dense_spectral_oracle(layer.matrix) for layer in net.layers]
+    for layer in net.layers:
+        layer.mark_dirty()  # drop the superblocks the oracle expanded
+
+    def expand(layer):
+        raise AssertionError("compute_report expanded a superblock")
+
+    monkeypatch.setattr(EquivariantLayer, "superblocks", expand)
+    report = compute_report(_inputs(net))
+    assert report.spectral_norms == pytest.approx(oracles, rel=1e-12)
 
 
 def test_compute_report_never_reads_dense_matrix(monkeypatch):

@@ -252,6 +252,22 @@ def test_bound_non_finite_gamma_exit_2(pipeline, tmp_path, capsys):
     assert not out_csv.exists()
 
 
+def test_bound_empty_test_data_exit_2(pipeline, tmp_path, capsys):
+    """A test file with no samples is refused before a report is written."""
+    with open(pipeline["test"]) as f:
+        data = json.load(f)
+    for field in ("X", "y", "rep_index", "angle", "reflect"):
+        data["samples"][field] = []
+    empty = tmp_path / "empty.json"
+    empty.write_text(json.dumps(data))
+    out_csv = tmp_path / "empty.csv"
+    rc = main(["bound", "--model", pipeline["model"], "--data", pipeline["train"],
+               "--test-data", str(empty), "--csv", str(out_csv)])
+    assert rc == 2
+    assert "need at least one sample" in capsys.readouterr().err
+    assert not out_csv.exists()
+
+
 def test_train_margin_miss_exit_3(pipeline):
     rc = main(
         [

@@ -355,6 +355,11 @@ def _relabel_symmetry(data):
     data["spec"]["symmetry"] = "so3"
 
 
+def _empty(data):
+    for field in ("X", "y", "rep_index", "angle", "reflect"):
+        data["samples"][field] = []
+
+
 def _set_original_y(values):
     def mutate(data):
         n = len(data["samples"]["y"])
@@ -380,11 +385,13 @@ def _set_original_y(values):
         (_set_original_y(lambda n: [7] + [1] * (n - 1)), "original_y labels must be 0 or 1"),
         (_set_original_y(lambda n: [0.5] + [1] * (n - 1)), "original_y labels must be 0 or 1"),
         (_relabel_symmetry, "unknown symmetry 'so3'"),
+        (_empty, "need at least one sample"),
     ],
     ids=[
         "short-y", "short-rep_index", "short-angle", "short-reflect",
         "nan-X", "inf-X", "label-2", "label-minus-1", "label-half", "small-B",
         "long-original_y", "original-label-7", "original-label-half", "unknown-symmetry",
+        "empty",
     ],
 )
 def test_load_dataset_rejects_malformed_samples(tmp_path, mutate, message):

@@ -306,6 +306,15 @@ def test_margins_two_class_oracle():
     np.testing.assert_allclose(margins(net, X, y), expected, atol=1e-12)
 
 
+def test_margins_refuse_an_empty_set():
+    G, net = _small_net()
+    X = np.empty((0, net.input_rep.dim))
+    with pytest.raises(ValueError, match="at least one sample"):
+        margins(net, X, np.empty(0, dtype=np.int64))
+    with pytest.raises(ValueError, match="at least one sample"):
+        empirical_margin_loss(net, X, np.empty(0, dtype=np.int64), 0.0)
+
+
 def test_empirical_margin_loss_thresholds():
     G, net = _small_net()
     rng = np.random.default_rng(5)
