@@ -299,20 +299,32 @@ class BoundInputs:
         return tuple(m_factor(self.net, l, self.eta) for l in range(1, self.net.depth + 1))
 
     def __post_init__(self) -> None:
-        if self.m < 1:
+        self.check_settings(self.m, self.gamma, self.eta, self.delta)
+        _check_square("B", self.B)
+
+    @staticmethod
+    def check_settings(m: int, gamma: float, eta: float, delta: float) -> None:
+        """Refuse an m, gamma, eta or delta that the bound cannot take.
+
+        A sweep calls it on its whole grid before any cell trains.
+        """
+        if m < 1:
             raise ValueError("m must be >= 1")
-        # The bound squares both: a square that underflows to 0 or overflows
-        # would divide by zero, raise OverflowError or give a meaningless bound.
-        for name in ("gamma", "B"):
-            v = getattr(self, name)
-            if not (v > 0 and 0.0 < v * v < math.inf):
-                raise ValueError(
-                    f"{name} must be finite and positive with a finite nonzero square, got {v}"
-                )
-        if not 0 < self.eta < 1:
+        _check_square("gamma", gamma)
+        if not 0 < eta < 1:
             raise ValueError("eta must lie in (0, 1)")
-        if not 0 < self.delta < 1:
+        if not 0 < delta < 1:
             raise ValueError("delta must lie in (0, 1)")
+
+
+def _check_square(name: str, v: float) -> None:
+    # The bound squares gamma and B: a square that underflows to 0 or
+    # overflows would divide by zero, raise OverflowError or give a
+    # meaningless bound.
+    if not (v > 0 and 0.0 < v * v < math.inf):
+        raise ValueError(
+            f"{name} must be finite and positive with a finite nonzero square, got {v}"
+        )
 
 
 @dataclass

@@ -99,18 +99,16 @@ def _derive_seed(base: int, tag: str) -> int:
 # ---------------------------------------------------------------- gen-data
 
 
-def _task(settings, size: int, m: int, spec_seed: int, seed: int, test_m: int | None):
-    """The spec, training set and test set of one synthetic task.
+def _spec(settings, size: int, spec_seed: int):
+    """The DatasetSpec of one synthetic task.
 
     `settings` is a gen-data namespace or a SweepConfig; both carry
-    symmetry, d, noise_tangent, noise_ambient, augment and random_labels.
-    `size` is the max frequency F of a continuous family, on `d` circles
-    or pairs, and the rotation order M of a discrete one.  The sample
-    seeds derive from `seed`; the test set is None unless `test_m` is
-    given.
+    symmetry, d, noise_tangent and noise_ambient.  `size` is the max
+    frequency F of a continuous family, on `d` circles or pairs, and the
+    rotation order M of a discrete one.
     """
     continuous, _ = SYMMETRIES[settings.symmetry]
-    spec = generate_synthetic(
+    return generate_synthetic(
         settings.symmetry,
         settings.d if continuous else size,
         max_frequency=size if continuous else None,
@@ -118,12 +116,20 @@ def _task(settings, size: int, m: int, spec_seed: int, seed: int, test_m: int | 
         noise_sigma_tangent=settings.noise_tangent,
         noise_sigma_ambient=settings.noise_ambient,
     )
+
+
+def _samples(settings, spec, m: int, seed: int, test_m: int | None):
+    """The training and test sets of a task drawn from `spec`.
+
+    `settings` carries augment and random_labels.  The sample seeds
+    derive from `seed`; the test set is None unless `test_m` is given.
+    """
     train_set = sample(spec, m, settings.augment, _derive_seed(seed, "train"))
     if settings.random_labels:
         train_set = randomize_labels(train_set, _derive_seed(seed, "labels"))
     if test_m is None:
-        return spec, train_set, None
-    return spec, train_set, sample(spec, test_m, "group", _derive_seed(seed, "test"))
+        return train_set, None
+    return train_set, sample(spec, test_m, "group", _derive_seed(seed, "test"))
 
 
 def _cmd_gen_data(args: argparse.Namespace) -> int:
@@ -134,7 +140,8 @@ def _cmd_gen_data(args: argparse.Namespace) -> int:
         raise ValueError("--m-order is required for discrete symmetries")
     size = args.f if continuous else args.m_order
     test_m = args.test_m if args.test_out else None
-    spec, train_set, test_set = _task(args, size, args.m, args.seed, args.seed, test_m)
+    spec = _spec(args, size, args.seed)
+    train_set, test_set = _samples(args, spec, args.m, args.seed, test_m)
     save_dataset(args.train_out, spec, train_set)
     print(
         f"wrote {args.train_out}: {len(train_set)} samples, "
@@ -443,14 +450,12 @@ def _parse_group(text: str) -> tuple[str, int]:
     return text, 8 if text == "quaternion" else 1
 
 
-def _sweep_task(cfg: SweepConfig, size: int, m: int, seed: int):
+def _sweep_task(cfg: SweepConfig, spec, m: int, seed: int):
     """One sweep key's training and test sets, and each group's input rep.
 
     The reps follow the order of cfg.groups.
     """
-    spec, train_set, test_set = _task(
-        cfg, size, m, _derive_seed(seed, f"spec:{cfg.symmetry}:{size}"), seed, cfg.test_m
-    )
+    train_set, test_set = _samples(cfg, spec, m, seed, cfg.test_m)
     input_reps = [input_rep_for(spec, build_group(*group)) for group in cfg.groups]
     return train_set, test_set, input_reps
 
@@ -482,17 +487,27 @@ def run_sweep(cfg: SweepConfig) -> dict:
         learning_rate=cfg.learning_rate,
         batch_size=cfg.batch_size,
     )
-    # Groups are the innermost loop, so each key's datasets and input reps
-    # serve one run of cells.  The first key's are built here: a group that
-    # cannot act on the data must fail before any cell trains.
+    # Every setting is refused before any cell trains, by the code that
+    # holds its rule: BoundInputs checks gamma, eta, delta and each m, each
+    # size's specs are built here, and the first key's input reps show
+    # whether every group can act on the data.  Groups are the innermost
+    # loop, so each key's datasets and input reps serve one run of cells.
+    for m in cfg.m_grid:
+        BoundInputs.check_settings(m, cfg.gamma, cfg.eta, cfg.delta)
+    specs = {
+        (size, seed): _spec(cfg, size, _derive_seed(seed, f"spec:{cfg.symmetry}:{size}"))
+        for size in cfg.sizes
+        for seed in cfg.seeds
+    }
     keys = list(itertools.product(cfg.sizes, cfg.m_grid, cfg.seeds))
-    task = _sweep_task(cfg, *keys[0])
+    size, m, seed = keys[0]
+    task = _sweep_task(cfg, specs[size, seed], m, seed)
     os.makedirs(cfg.out_dir, exist_ok=True)
     chash = cfg.config_hash()
     rows = []
     for i, (size, m, seed) in enumerate(keys):
         if i > 0:
-            task = _sweep_task(cfg, size, m, seed)
+            task = _sweep_task(cfg, specs[size, seed], m, seed)
         train_set, test_set, input_reps = task
         for (kind, N), input_rep in zip(cfg.groups, input_reps):
             net = _build_net(input_rep, cfg.widths, _derive_seed(seed, f"model:{kind}:{N}"))
@@ -604,12 +619,31 @@ def _sweep_summary(rows: list[dict]) -> dict:
 
 
 def _spearman(a: list[float], b: list[float]) -> float:
-    # The package's only scipy import, made here on first use: only sweep
-    # summaries need it, and importing equibound then loads numpy alone.
-    from scipy.stats import spearmanr
+    """Spearman's rho of a and b.
 
-    rho = spearmanr(a, b).statistic
-    return float(rho) if rho is not None else float("nan")
+    NaN when an input is constant or holds a NaN; otherwise Pearson's r
+    of the average ranks, taken by `np.corrcoef` on the ranks stacked as
+    columns.  Other orderings of that arithmetic move the last bits;
+    tests/test_cli.py pins this one against the reference implementation.
+    """
+    x = np.column_stack([a, b])
+    if np.isnan(x).any() or (x == x[0]).all(axis=0).any():
+        return float("nan")
+    ranks = np.column_stack([_average_ranks(column) for column in x.T])
+    return float(np.corrcoef(ranks, rowvar=False)[1, 0])
+
+
+def _average_ranks(x: np.ndarray) -> np.ndarray:
+    """1-based ranks of x; tied values share the mean of their ranks."""
+    order = np.argsort(x, kind="stable")
+    ordered = x[order]
+    starts = np.r_[True, ordered[1:] != ordered[:-1]]
+    # Tie run r covers sorted positions bounds[r] .. bounds[r + 1] - 1.
+    bounds = np.r_[np.flatnonzero(starts), len(x)]
+    run = np.cumsum(starts) - 1
+    ranks = np.empty(len(x))
+    ranks[order] = 0.5 * (bounds[run] + bounds[run + 1] + 1)
+    return ranks
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:

@@ -4,9 +4,12 @@ import argparse
 import csv
 import io
 import json
+import math
+import warnings
 from dataclasses import asdict, fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from equibound import cli
@@ -27,6 +30,43 @@ def test_parse_group():
     assert _parse_group("cyclic:1") == ("cyclic", 1)
     with pytest.raises(ValueError, match="kind:N"):
         _parse_group("cyclic:x")
+
+
+@pytest.mark.parametrize(
+    "a, b, rho",
+    [
+        ([1.0, 2.0, 3.0, 4.0], [10.0, 30.0, 20.0, 40.0], 0.8),
+        ([3.0, 1.0, 2.0], [1.0, 2.0, 3.0], -0.5),
+        # Ties share the mean rank: a ranks (1.5, 1.5, 3, 4).
+        ([1.0, 1.0, 2.0, 3.0], [1.0, 2.0, 3.0, 4.0], 0.9486832980505138),
+        ([2.0, 2.0, 2.0], [1.0, 2.0, 3.0], math.nan),
+        ([1.0, 2.0, 3.0], [1.0, math.nan, 3.0], math.nan),
+    ],
+)
+def test_spearman_hand_values(a, b, rho):
+    got = cli._spearman(a, b)
+    if math.isnan(rho):
+        assert math.isnan(got)
+    else:
+        assert got == pytest.approx(rho, abs=1e-15)
+
+
+def test_spearman_matches_scipy_bit_for_bit():
+    """Seeded inputs of 2 to 16 values; every odd trial draws small integers,
+    so it holds ties (and sometimes a constant input, NaN on both sides)."""
+    stats = pytest.importorskip("scipy.stats")
+    rng = np.random.default_rng(0)
+    for trial in range(2000):
+        n = int(rng.integers(2, 17))
+        if trial % 2:
+            a, b = rng.integers(0, 4, (2, n)).astype(float)
+        else:
+            a, b = rng.standard_normal((2, n))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", stats.ConstantInputWarning)
+            expected = float(stats.spearmanr(a, b).statistic)
+        got = cli._spearman(list(a), list(b))
+        assert got == expected or (math.isnan(got) and math.isnan(expected)), (a, b)
 
 
 def test_derive_seed_is_stable_and_tag_sensitive():
@@ -326,18 +366,31 @@ def test_sweep_divergence_writes_no_csv(tmp_path):
 
 @pytest.mark.parametrize(
     "groups",
-    [["cyclic:1", "cyclic:8", "quaternion"], ["cyclic:1", "cyclc:4"], ["cyclic:1", "cyclic:x"]],
+    [
+        ["cyclic:1", "cyclic:8", "quaternion"],
+        ["cyclic:1", "cyclc:4"],
+        ["cyclic:1", "cyclic:x"],
+        pytest.param(["cyclic:1", "cyclic:2", "--eta", "1.5"], id="eta"),
+        pytest.param(["cyclic:1", "cyclic:2", "--delta", "0"], id="delta"),
+        pytest.param(["cyclic:1", "cyclic:2", "--gamma", "1e-200"], id="gamma-square"),
+        pytest.param(
+            ["cyclic:1", "cyclic:2", "--symmetry", "cyclic", "--sizes", "4", "1"],
+            id="later-size",
+        ),
+        pytest.param(["cyclic:1", "cyclic:2", "--m-grid", "200", "0"], id="later-m"),
+    ],
 )
 def test_sweep_bad_group_exit_2_before_training(tmp_path, monkeypatch, groups):
-    """A group that cannot act on the data is refused before any cell trains."""
+    """A bad group, or a bad setting flagged after the groups, is refused
+    before any cell trains, wherever it sits in the grid."""
 
     def no_training(*args, **kwargs):
         raise AssertionError("a cell trained before the grid was validated")
 
     monkeypatch.setattr(cli, "train", no_training)
     out = tmp_path / "out"
-    rc = main(["sweep", "--groups", *groups, "--max-epochs", "10", "--m-grid", "96",
-               "--seeds", "0", "--test-m", "100", "--out-dir", str(out)])
+    rc = main(["sweep", "--max-epochs", "10", "--m-grid", "96", "--seeds", "0",
+               "--test-m", "100", "--out-dir", str(out), "--groups", *groups])
     assert rc == 2
     assert not (out / "rows.csv").exists()
 
