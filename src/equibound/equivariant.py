@@ -15,12 +15,18 @@ until the coefficients change.  The dense matrix W = Q_out (block
 matrix) Q_in^T commutes with the group action by construction and is
 the oracle of the verification checks.
 
-Training and evaluation apply a wide layer through its superblocks.  A
-layer whose dense matrix holds fewer entries than EVAL_ROWS rows of its
-input and output (the narrow data-input and logit layers, and small
-hidden layers) is applied through W instead: rebuilding W after an
-update then costs less than the two basis changes of every batch.
-Gradients are formed in block coordinates on both routes.
+Each layer picks its route from its reps alone (see
+EquivariantLayer.blockwise).  It is applied through its superblocks
+when rebuilding W after an update would cost more than a batch's basis
+changes (a wide layer), or when the products its superblocks skip, per
+row, outweigh the extra basis changes the block route makes: a
+regular-to-regular layer over H keeps about 1/|H| of W's entries.
+Otherwise it is applied through W: the thin data-input and logit
+layers, whose W folds a basis change into a narrow matrix, and C1
+layers, whose one superblock is all of W.  Gradients are formed in
+block coordinates on both routes.  `forward` runs many rows in blocks
+of EVAL_ROWS, so the block route's batch-sized copy in block
+coordinates never grows with the set.
 
 `train` runs Adam in place: each coefficient array and its two moments
 are updated by a fixed sequence of `out=` ufuncs, over chunks of
@@ -88,11 +94,19 @@ __all__ = [
 ]
 
 
-# Rows per forward pass when `margins` evaluates a full set, so that its
-# peak memory does not grow with the number of samples.  It is also the
-# batch size against which a layer picks its route (see
+# Rows per block when `forward` (and so `margins`) evaluates many rows,
+# so that its peak memory does not grow with the number of samples.  It
+# is also the batch size against which a layer weighs rebuilding W (see
 # EquivariantLayer.blockwise).
 EVAL_ROWS = 256
+
+# GEMM multiply-adds that cost as much as one entry of a batched basis
+# change (`to_block`/`from_block`): about 1 ns per entry against about
+# 0.02 ns per multiply-add.  A layer takes the block route when the
+# multiply-adds its superblocks skip per row outweigh this many times the
+# entries of the extra basis changes a row needs (see
+# EquivariantLayer.blockwise).
+BASIS_CHANGE_COST = 50
 
 # Source of layer versions: no two weight states of any layers share one.
 _VERSIONS = itertools.count()
@@ -126,10 +140,20 @@ class EquivariantLayer:
     margins memo (see `margins`).
 
     `blockwise` selects how `apply` computes A W^T: through the
-    superblocks, or through the dense matrix.  It is true when W has
-    more entries than EVAL_ROWS rows of input and output together, so
-    that rebuilding W would cost more than the block route's basis
-    changes of a batch; either route gives the same values.
+    superblocks, or through the dense matrix; either route gives the
+    same values.  It is read from the reps alone and is true when either
+    of two costs favours the superblocks:
+    - W has more entries than EVAL_ROWS rows of input and output
+      together, so rebuilding W after an update would cost more than a
+      batch's basis changes;
+    - per row, the superblocks skip 2 (n_in n_out - P) multiply-adds
+      (forward and backward; P is the superblocks' total size), more
+      than BASIS_CHANGE_COST times the entries of the one extra basis
+      change per side that the block route makes (a side whose basis
+      is the identity costs nothing).  Both routes change the batch
+      into block coordinates for the gradients.
+    So a C1 layer, whose one superblock is all of W, stays dense unless
+    it is wide, and so do thin layers, whose W folds a basis change.
     """
 
     def __init__(self, in_rep: RepSpec, out_rep: RepSpec):
@@ -145,7 +169,12 @@ class EquivariantLayer:
         self._matrix: np.ndarray | None = None
         self.version = next(_VERSIONS)
         n_in, n_out = in_rep.dim, out_rep.dim
-        self.blockwise = n_in * n_out > EVAL_ROWS * (n_in + n_out)
+        skipped = n_in * n_out - sum(b.dim**2 * b.m_out * b.m_in for b in self.shared)
+        touched = sum(rep.dim for rep in (in_rep, out_rep) if not rep.is_identity)
+        self.blockwise = (
+            n_in * n_out > EVAL_ROWS * (n_in + n_out)
+            or 2 * skipped > BASIS_CHANGE_COST * touched
+        )
 
     @property
     def group(self) -> FiniteGroup:
@@ -267,7 +296,12 @@ class EquivariantNetwork:
         return len(self.layers)
 
     def forward(self, X: np.ndarray) -> np.ndarray:
-        """Logits for a batch (rows) or a single vector."""
+        """Logits for a batch (rows) or a single vector.
+
+        The rows pass through the layers in blocks of EVAL_ROWS, so the
+        peak memory does not grow with their number; each block's logits
+        are those of a forward pass over that block alone.
+        """
         X = np.asarray(X, dtype=np.float64)
         if X.ndim == 1:
             return self.forward(X[None, :])[0]
@@ -276,12 +310,15 @@ class EquivariantNetwork:
                 f"input dimension {X.shape[1]} does not match rep "
                 f"dimension {self.input_rep.dim}"
             )
-        A = X
+        out = np.empty((X.shape[0], self.n_classes))
         last = len(self.layers) - 1
-        for l, layer in enumerate(self.layers):
-            _, Z = layer.apply(A)
-            A = Z if l == last else np.maximum(Z, 0.0, out=Z)
-        return A
+        for start in range(0, X.shape[0], EVAL_ROWS):
+            A = X[start : start + EVAL_ROWS]
+            for l, layer in enumerate(self.layers):
+                _, Z = layer.apply(A)
+                A = Z if l == last else np.maximum(Z, 0.0, out=Z)
+            out[start : start + EVAL_ROWS] = A
+        return out
 
     def loss_and_grads(
         self, X: np.ndarray, y: np.ndarray
@@ -714,11 +751,39 @@ def write_atomic(path: str, text: str) -> None:
             os.unlink(tmp)
 
 
+# The key paths `load_checkpoint` reads, checked before it reads any.
+CHECKPOINT_KEYS = (
+    ("group", "kind"),
+    ("group", "N"),
+    ("architecture", "input_rep", "blocks"),
+    ("architecture", "input_rep", "Q"),
+    ("architecture", "hidden_channels"),
+    ("architecture", "n_classes"),
+    ("layers",),
+    ("metadata",),
+)
+
+
+def _check_checkpoint_keys(path: str, data: dict) -> None:
+    """Raise ValueError naming the file and the first key path it lacks."""
+    for keys in CHECKPOINT_KEYS:
+        entry = data
+        for depth, key in enumerate(keys):
+            if not isinstance(entry, dict) or key not in entry:
+                where = "".join(f"[{k!r}]" for k in keys[:depth])
+                raise ValueError(
+                    f"{path}: checkpoint lacks the key {key!r}"
+                    + (f" in {where}" if where else "")
+                )
+            entry = entry[key]
+
+
 def load_checkpoint(path: str) -> tuple[EquivariantNetwork, dict]:
     """Rebuild a checkpointed network with bit-identical forward outputs.
 
-    Raises ValueError for a file of another schema version, or whose
-    layers do not match the architecture it records.
+    Raises ValueError for a file of another schema version, one that
+    lacks a key of CHECKPOINT_KEYS, or one whose layers do not match the
+    architecture it records.
     """
     with open(path) as f:
         data = json.load(f)
@@ -728,6 +793,7 @@ def load_checkpoint(path: str) -> tuple[EquivariantNetwork, dict]:
             f"{path}: checkpoint schema_version {version!r} is not supported "
             f"(expected {CHECKPOINT_SCHEMA})"
         )
+    _check_checkpoint_keys(path, data)
     G = group_from_json(data["group"])
     arch = data["architecture"]
     input_rep = rep_from_json(G, arch["input_rep"])

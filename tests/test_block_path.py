@@ -5,8 +5,13 @@
 through the dense W = Q_out S Q_in^T of `EquivariantLayer.matrix`.
 Over random groups, input reps, widths and routes both must agree with
 a dense reference, and training and evaluation must never build W of a
-layer on the block route.
+layer on the block route.  The routes that the cost rule picks are
+pinned for the benchmark workloads' networks, and `forward` must run
+many rows in blocks of EVAL_ROWS, with a peak memory that does not grow
+with their number.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,17 +20,19 @@ from hypothesis import strategies as st
 
 from equibound.datasets import generate_synthetic, input_rep_for
 from equibound.equivariant import (
+    BASIS_CHANGE_COST,
     EVAL_ROWS,
     EquivariantLayer,
     MarginNotReached,
     TrainConfig,
     _cross_entropy,
     build_network,
+    channels_for_width,
     margins,
     train,
 )
 from equibound.groups import build_group
-from equibound.irreps import regular_representation, stack_rep, trivial_stack
+from equibound.irreps import regular_representation, stack_rep
 from equibound.kernels import project_coefficients
 
 GROUPS = [("cyclic", n) for n in range(1, 17)] + [("dihedral", 4), ("quaternion", 8)]
@@ -58,15 +65,52 @@ def networks(draw):
     return net, draw(st.integers(0, 1000))
 
 
-def test_route_follows_layer_size():
-    G = build_group("cyclic", 8)
-    reg = regular_representation(G)
-    wide = EquivariantLayer(stack_rep(reg, 256), stack_rep(reg, 64))
-    narrow = EquivariantLayer(stack_rep(reg, 64), stack_rep(reg, 16))
-    logits = EquivariantLayer(stack_rep(reg, 256), trivial_stack(G, 2))
-    assert wide.blockwise  # 2048 x 512 entries > EVAL_ROWS * (2048 + 512)
-    assert not narrow.blockwise
-    assert not logits.blockwise
+def _net_for(symmetry, size, max_frequency, group, widths):
+    """The network a benchmark workload or acceptance test builds (routes
+    depend on the reps alone, so any seed gives the same ones)."""
+    spec = generate_synthetic(symmetry, size, max_frequency=max_frequency, seed=0)
+    G = build_group(*group)
+    channels = [channels_for_width(G, w) for w in widths]
+    return build_network(G, input_rep_for(spec, G), channels, 2, seed=0)
+
+
+D, B = "dense", "block"
+
+
+@pytest.mark.parametrize(
+    "symmetry, size, max_frequency, group, widths, routes",
+    [
+        # c8_wide and c1_wide: only the 2048 -> 512 layer is wide enough
+        # that rebuilding W costs more than a batch's basis changes.
+        pytest.param("so2", 6, 6, ("cyclic", 8), (2048, 512), (D, B, D), id="c8_wide"),
+        pytest.param("so2", 6, 6, ("cyclic", 1), (2048, 512), (D, B, D), id="c1_wide"),
+        # The grid cells: C1's one superblock is all of W, so nothing is
+        # skipped; every other 512 -> 128 layer skips at least 102 times
+        # the entries of its basis changes per row, the thin input and
+        # logit layers at most 29 times.
+        pytest.param("so2", 6, 6, ("cyclic", 1), (512, 128), (D, D, D), id="grid-C1"),
+        pytest.param("so2", 6, 6, ("cyclic", 2), (512, 128), (D, B, D), id="grid-C2"),
+        pytest.param("so2", 6, 6, ("cyclic", 4), (512, 128), (D, B, D), id="grid-C4"),
+        pytest.param("so2", 6, 6, ("cyclic", 8), (512, 128), (D, B, D), id="grid-C8"),
+        pytest.param("so2", 6, 6, ("cyclic", 16), (512, 128), (D, B, D), id="grid-C16"),
+        pytest.param("o2", 6, 3, ("dihedral", 4), (512, 128), (D, B, D), id="grid-D4"),
+        pytest.param("so2", 6, 3, ("cyclic", 8), (1024, 256), (D, B, D), id="test_09-C8"),
+    ],
+)
+def test_route_follows_layer_cost(symmetry, size, max_frequency, group, widths, routes):
+    net = _net_for(symmetry, size, max_frequency, group, widths)
+    assert tuple(B if layer.blockwise else D for layer in net.layers) == routes
+
+
+def test_route_threshold_at_256_by_64():
+    """C2's 256 -> 64 layer skips 2 * 8192 products per row against 320
+    basis-change entries, 51.2 times, just above BASIS_CHANGE_COST; C1's
+    skips none."""
+    assert BASIS_CHANGE_COST == 50
+    for n, blockwise in ((1, False), (2, True)):
+        reg = regular_representation(build_group("cyclic", n))
+        layer = EquivariantLayer(stack_rep(reg, 256 // n), stack_rep(reg, 64 // n))
+        assert layer.blockwise is blockwise
 
 
 def _dense_forward(net, X):
@@ -166,3 +210,49 @@ def test_train_and_margins_never_densify_block_layers(case):
     np.testing.assert_allclose(
         got, expected[rows, y] - rest.max(axis=1), rtol=0, atol=2 * TOL
     )
+
+
+def _blocked_case(rows):
+    """The grid's C8 net (block route in the middle) and `rows` inputs."""
+    net = _net_for("so2", 6, 6, ("cyclic", 8), (512, 128))
+    assert [layer.blockwise for layer in net.layers] == [False, True, False]
+    return net, *_batch(net, 3, rows)
+
+
+def test_forward_runs_in_blocks_of_eval_rows():
+    net, X, _ = _blocked_case(3 * EVAL_ROWS + 7)
+    got = net.forward(X)
+    blocks = [net.forward(X[s : s + EVAL_ROWS]) for s in range(0, len(X), EVAL_ROWS)]
+    assert [len(b) for b in blocks] == [EVAL_ROWS] * 3 + [7]
+    assert got.tobytes() == np.concatenate(blocks).tobytes()
+    expected, _ = _dense_forward(net, X)
+    np.testing.assert_allclose(got, expected, rtol=0, atol=TOL)
+
+
+def test_margins_are_the_blocked_forward_margins():
+    net, X, y = _blocked_case(3 * EVAL_ROWS + 7)
+    logits = net.forward(X)
+    rows = np.arange(len(y))
+    true = logits[rows, y]
+    logits[rows, y] = -np.inf
+    assert margins(net, X, y).tobytes() == (true - logits.max(axis=1)).tobytes()
+
+
+def _forward_peak(net, X) -> int:
+    """Peak bytes traced during one forward pass (caches already filled)."""
+    tracemalloc.start()
+    try:
+        net.forward(X)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_forward_peak_memory_does_not_grow_with_rows():
+    net, X, _ = _blocked_case(16 * EVAL_ROWS)
+    net.forward(X[:1])  # builds the superblocks and dense matrices
+    small = _forward_peak(net, X[: 2 * EVAL_ROWS])
+    large = _forward_peak(net, X)
+    # Only the logits grow: 14 more blocks of EVAL_ROWS rows and 2 classes.
+    # One block's hidden activations alone are 256 x 512 doubles (1 MiB).
+    assert large - small <= 14 * EVAL_ROWS * net.n_classes * 8 + 65536

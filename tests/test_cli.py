@@ -5,6 +5,7 @@ import csv
 import io
 import json
 import math
+import re
 import warnings
 from dataclasses import asdict, fields
 from pathlib import Path
@@ -268,6 +269,30 @@ def test_train_bad_config_exit_2(pipeline, capsys, flag, value):
     rc = main(["train", "--data", pipeline["train"], "--group", "cyclic:4", "--widths", "8", flag, value])
     assert rc == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "keys",
+    [("group",), ("architecture",), ("layers",), ("architecture", "input_rep", "blocks")],
+    ids=lambda keys: ".".join(keys),
+)
+def test_bound_checkpoint_missing_key_exit_2(pipeline, tmp_path, capsys, keys):
+    """A checkpoint without a key it needs names the file and the key."""
+    with open(pipeline["model"]) as f:
+        data = json.load(f)
+    entry = data
+    for key in keys[:-1]:
+        entry = entry[key]
+    del entry[keys[-1]]
+    bad = tmp_path / "lacking.json"
+    bad.write_text(json.dumps(data))
+    message = f"{bad}: checkpoint lacks the key '{keys[-1]}'"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        load_checkpoint(str(bad))
+    rc = main(["bound", "--model", str(bad), "--data", pipeline["train"]])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: ") and f"'{keys[-1]}'" in err
 
 
 def test_bound_non_orthogonal_input_basis_exit_2(pipeline, tmp_path, capsys):
