@@ -35,11 +35,11 @@ import numpy as np
 
 from .bounds import (
     BoundInputs,
+    _layer_norms,
     compute_report,
     csv_header,
     report_to_csv_row,
     report_to_json,
-    spectral_norm,
     tail_threshold,
 )
 from .datasets import (
@@ -344,11 +344,11 @@ def _verify_suite(trials: int, seed: int) -> list:
 
 def _admissible_sigma(net) -> float:
     """A coefficient scale that keeps drawn perturbations admissible."""
-    caps = []
-    for layer in net.layers:
-        thr_unit = tail_threshold(layer.in_rep, layer.out_rep, 1.0, 1.0).threshold
-        caps.append(spectral_norm(layer.matrix) / (net.depth * thr_unit))
-    return 0.3 * min(caps)
+    specs, _ = _layer_norms(net)
+    return 0.3 * min(
+        spec / (net.depth * tail_threshold(layer.in_rep, layer.out_rep, 1.0, 1.0).threshold)
+        for spec, layer in zip(specs, net.layers)
+    )
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:

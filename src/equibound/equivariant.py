@@ -119,8 +119,6 @@ def _products(
 
     Columns that no part covers are zero.
     """
-    if len(parts) == 1 and parts[0][0] == slice(0, dim):
-        return parts[0][1] @ parts[0][2]
     covered = sum(cols.stop - cols.start for cols, _, _ in parts)
     out = np.empty((rows, dim)) if covered == dim else np.zeros((rows, dim))
     for cols, a, b in parts:
@@ -446,12 +444,13 @@ def _digest(*arrays: np.ndarray) -> bytes:
 def margins(net: EquivariantNetwork, X: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Per-sample margin: true-class logit minus the best other logit.
 
-    The forward pass runs over blocks of EVAL_ROWS rows.  `net` keeps
-    the result of its last call, keyed by its layers' versions and a
-    digest of X (as float64) and y, and a call with the same key returns
-    a copy of it without a forward pass.  An in-place edit of X or y
-    changes the digest; an in-place edit of the coefficients is seen
-    only through `mark_dirty`, which every update in this module calls.
+    One `forward` call evaluates the set, in blocks of EVAL_ROWS rows.
+    `net` keeps the result of its last call, keyed by its layers'
+    versions and a digest of X (as float64) and y, and a call with the
+    same key returns a copy of it without a forward pass.  An in-place
+    edit of X or y changes the digest; an in-place edit of the
+    coefficients is seen only through `mark_dirty`, which every update
+    in this module calls.
     Raises ValueError for an empty set, whose mean margin loss would be NaN.
     """
     X = np.asarray(X, dtype=np.float64)
@@ -463,15 +462,11 @@ def margins(net: EquivariantNetwork, X: np.ndarray, y: np.ndarray) -> np.ndarray
     memo = net._margins_memo
     if memo is not None and memo[0] == versions and memo[1] == digest:
         return memo[2].copy()
-    out = np.empty(X.shape[0])
-    for start in range(0, X.shape[0], EVAL_ROWS):
-        stop = start + EVAL_ROWS
-        logits = net.forward(X[start:stop])
-        rows = np.arange(logits.shape[0])
-        labels = y[start:stop]
-        true = logits[rows, labels]
-        logits[rows, labels] = -np.inf
-        out[start:stop] = true - logits.max(axis=1)
+    logits = net.forward(X)
+    rows = np.arange(logits.shape[0])
+    true = logits[rows, y]
+    logits[rows, y] = -np.inf
+    out = true - logits.max(axis=1)
     net._margins_memo = (versions, digest, out.copy())
     return out
 
@@ -782,8 +777,9 @@ def load_checkpoint(path: str) -> tuple[EquivariantNetwork, dict]:
     """Rebuild a checkpointed network with bit-identical forward outputs.
 
     Raises ValueError for a file of another schema version, one that
-    lacks a key of CHECKPOINT_KEYS, or one whose layers do not match the
-    architecture it records.
+    lacks a key of CHECKPOINT_KEYS, one whose `layers` is not a list of
+    JSON objects or whose `metadata` is not one, or one whose layers do
+    not match the architecture it records.
     """
     with open(path) as f:
         data = json.load(f)
@@ -794,6 +790,11 @@ def load_checkpoint(path: str) -> tuple[EquivariantNetwork, dict]:
             f"(expected {CHECKPOINT_SCHEMA})"
         )
     _check_checkpoint_keys(path, data)
+    entries = data["layers"]
+    if not isinstance(entries, list):
+        raise ValueError(f"{path}: checkpoint key 'layers' is not a JSON array")
+    if not isinstance(data["metadata"], dict):
+        raise ValueError(f"{path}: checkpoint key 'metadata' is not a JSON object")
     G = group_from_json(data["group"])
     arch = data["architecture"]
     input_rep = rep_from_json(G, arch["input_rep"])
@@ -804,12 +805,14 @@ def load_checkpoint(path: str) -> tuple[EquivariantNetwork, dict]:
         int(arch["n_classes"]),
         seed=0,
     )
-    if len(data["layers"]) != len(net.layers):
+    if len(entries) != len(net.layers):
         raise ValueError(
-            f"{path}: {len(data['layers'])} layers in checkpoint, "
+            f"{path}: {len(entries)} layers in checkpoint, "
             f"the architecture has {len(net.layers)}"
         )
-    for l, (layer, entry) in enumerate(zip(net.layers, data["layers"])):
+    for l, (layer, entry) in enumerate(zip(net.layers, entries)):
+        if not isinstance(entry, dict):
+            raise ValueError(f"{path}: checkpoint key 'layers' entry {l} is not a JSON object")
         if set(entry) != set(layer.coefficients):
             raise ValueError(
                 f"{path}: layer {l} holds irreps {sorted(entry)}, "

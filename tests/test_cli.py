@@ -295,6 +295,35 @@ def test_bound_checkpoint_missing_key_exit_2(pipeline, tmp_path, capsys, keys):
     assert err.startswith(f"error: {bad}: ") and f"'{keys[-1]}'" in err
 
 
+@pytest.mark.parametrize(
+    "where, message",
+    [
+        ("metadata", "'metadata' is not a JSON object"),
+        ("layer", "'layers' entry 1 is not a JSON object"),
+        ("layers", "'layers' is not a JSON array"),
+    ],
+    ids=["metadata", "layer", "layers"],
+)
+def test_bound_checkpoint_wrong_json_type_exit_2(pipeline, tmp_path, capsys, where, message):
+    """A checkpoint whose metadata or a layer entry is a list, or whose
+    layers are an object, is refused with the file and the key named."""
+    with open(pipeline["model"]) as f:
+        data = json.load(f)
+    if where == "metadata":
+        data["metadata"] = list(data["metadata"])
+    elif where == "layer":
+        data["layers"][1] = list(data["layers"][1])
+    else:
+        data["layers"] = dict(enumerate(data["layers"]))
+    bad = tmp_path / "mistyped.json"
+    bad.write_text(json.dumps(data))
+    with pytest.raises(ValueError, match=re.escape(f"{bad}: checkpoint key {message}")):
+        load_checkpoint(str(bad))
+    rc = main(["bound", "--model", str(bad), "--data", pipeline["train"]])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(f"error: {bad}: checkpoint key {message}")
+
+
 def test_bound_non_orthogonal_input_basis_exit_2(pipeline, tmp_path, capsys):
     """A checkpoint whose input basis was scaled by 2 is refused, not misread."""
     with open(pipeline["model"]) as f:

@@ -357,14 +357,14 @@ def test_margins_memo_skips_the_repeated_pass(monkeypatch):
     rows = _counting_forward(monkeypatch)
     first = margins(net, X, y)
     second = margins(net, X, y)
-    assert rows == [256, 44]  # one pass, in blocks of EVAL_ROWS
+    assert rows == [300]  # one pass; `forward` runs it in blocks
     assert first.tobytes() == expected.tobytes()
     assert second.tobytes() == expected.tobytes()
     first[:] = 7.0
     second[:] = 7.0
     assert margins(net, X, y).tobytes() == expected.tobytes()
     assert empirical_margin_loss(net, X, y, 0.0) == np.mean(expected <= 0.0)
-    assert rows == [256, 44]
+    assert rows == [300]
 
 
 @pytest.mark.parametrize(
@@ -402,9 +402,9 @@ def test_margins_memo_misses_after_a_train_epoch(monkeypatch):
     rows = _counting_forward(monkeypatch)
     with pytest.raises(MarginNotReached):
         train(net, X, y, cfg)
-    assert rows == [256, 44]
+    assert rows == [300]
     got = margins(net, X, y)
-    assert rows == [256, 44]
+    assert rows == [300]
     with pytest.raises(MarginNotReached):
         train(twin, X, y, cfg)
     assert got.tobytes() == margins(twin, X, y).tobytes()
