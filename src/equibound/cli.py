@@ -320,15 +320,9 @@ def _verify_suite(trials: int, seed: int) -> list:
         else:
             input_rep = restricted_frequency_rep(G, 1, kind == "dihedral")
         net = build_network(G, input_rep, [4, 2], 2, seed=seed)
-        for layer in net.layers:
-            r = check_equivariance(layer, 1e-10)
-            results.append(
-                CheckResult(f"layer-equivariance({kind}{n})", r.max_violation, r.trials, 1e-10)
-            )
-        r = check_equivariance(net, 1e-8, seed=seed)
-        results.append(
-            CheckResult(f"network-invariance({kind}{n})", r.max_violation, r.trials, 1e-8)
-        )
+        checks = [check_equivariance(layer, 1e-10) for layer in net.layers]
+        checks.append(check_equivariance(net, 1e-8, seed=seed))
+        results += [replace(r, name=f"{r.name}({kind}{n})") for r in checks]
 
     G = build_group("cyclic", 4)
     net = build_network(G, restricted_frequency_rep(G, 1, False), [4, 2], 2, seed=seed)
@@ -352,6 +346,8 @@ def _admissible_sigma(net) -> float:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    if args.trials < 1:
+        raise ValueError(f"--trials must be at least 1, got {args.trials}")
     results = _verify_suite(args.trials, args.seed)
     all_passed = True
     for r in results:

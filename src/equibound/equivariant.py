@@ -17,16 +17,14 @@ the oracle of the verification checks.
 
 Each layer picks its route from its reps alone (see
 EquivariantLayer.blockwise).  It is applied through its superblocks
-when rebuilding W after an update would cost more than a batch's basis
-changes (a wide layer), or when the products its superblocks skip, per
-row, outweigh the extra basis changes the block route makes: a
-regular-to-regular layer over H keeps about 1/|H| of W's entries.
-Otherwise it is applied through W: the thin data-input and logit
-layers, whose W folds a basis change into a narrow matrix, and C1
-layers, whose one superblock is all of W.  Gradients are formed in
-block coordinates on both routes.  `forward` runs many rows in blocks
-of EVAL_ROWS, so the block route's batch-sized copy in block
-coordinates never grows with the set.
+when the products they skip, per row, outweigh the extra basis changes
+the block route makes: a regular-to-regular layer over H keeps about
+1/|H| of W's entries.  Otherwise it is applied through W: the thin
+data-input and logit layers, whose W folds a basis change into a
+narrow matrix, and C1 layers, whose W is their one superblock, a view
+of the coefficients.  Gradients are formed in block coordinates on
+both routes.  `forward` runs many rows in blocks of EVAL_ROWS, so the
+block route's copy in block coordinates never grows with the set.
 
 `train` runs Adam in place: each coefficient array and its two moments
 are updated by a fixed sequence of `out=` ufuncs, over chunks of
@@ -95,9 +93,7 @@ __all__ = [
 
 
 # Rows per block when `forward` (and so `margins`) evaluates many rows,
-# so that its peak memory does not grow with the number of samples.  It
-# is also the batch size against which a layer weighs rebuilding W (see
-# EquivariantLayer.blockwise).
+# so that its peak memory does not grow with the number of samples.
 EVAL_ROWS = 256
 
 # GEMM multiply-adds that cost as much as one entry of a batched basis
@@ -139,19 +135,15 @@ class EquivariantLayer:
 
     `blockwise` selects how `apply` computes A W^T: through the
     superblocks, or through the dense matrix; either route gives the
-    same values.  It is read from the reps alone and is true when either
-    of two costs favours the superblocks:
-    - W has more entries than EVAL_ROWS rows of input and output
-      together, so rebuilding W after an update would cost more than a
-      batch's basis changes;
-    - per row, the superblocks skip 2 (n_in n_out - P) multiply-adds
-      (forward and backward; P is the superblocks' total size), more
-      than BASIS_CHANGE_COST times the entries of the one extra basis
-      change per side that the block route makes (a side whose basis
-      is the identity costs nothing).  Both routes change the batch
-      into block coordinates for the gradients.
-    So a C1 layer, whose one superblock is all of W, stays dense unless
-    it is wide, and so do thin layers, whose W folds a basis change.
+    same values.  It is read from the reps alone: per row, the
+    superblocks skip 2 (n_in n_out - P) multiply-adds (forward and
+    backward; P is the superblocks' total size), and the block route is
+    taken when that is more than BASIS_CHANGE_COST times the entries of
+    the one extra basis change per side that it makes (a side whose
+    basis is the identity costs nothing).  Both routes change the batch
+    into block coordinates for the gradients.  So a C1 layer, whose one
+    superblock is all of W, stays dense, and so do thin layers, whose W
+    folds a basis change.
     """
 
     def __init__(self, in_rep: RepSpec, out_rep: RepSpec):
@@ -169,10 +161,7 @@ class EquivariantLayer:
         n_in, n_out = in_rep.dim, out_rep.dim
         skipped = n_in * n_out - sum(b.dim**2 * b.m_out * b.m_in for b in self.shared)
         touched = sum(rep.dim for rep in (in_rep, out_rep) if not rep.is_identity)
-        self.blockwise = (
-            n_in * n_out > EVAL_ROWS * (n_in + n_out)
-            or 2 * skipped > BASIS_CHANGE_COST * touched
-        )
+        self.blockwise = 2 * skipped > BASIS_CHANGE_COST * touched
 
     @property
     def group(self) -> FiniteGroup:
@@ -203,11 +192,15 @@ class EquivariantLayer:
         self.mark_dirty()
 
     def block_matrix(self) -> np.ndarray:
-        """The layer matrix in block coordinates (zero across irreps)."""
-        S = np.zeros((self.out_rep.dim, self.in_rep.dim))
-        blocks = self.superblocks()
-        for b in self.shared:
-            S[b.out_cols, b.in_cols] = blocks[b.irrep_id]
+        """The layer matrix in block coordinates (zero across irreps); a
+        superblock spanning it all (C1's) is returned itself, not copied."""
+        shape = (self.out_rep.dim, self.in_rep.dim)
+        blocks = list(self.superblocks().values())
+        if len(blocks) == 1 and blocks[0].shape == shape:
+            return blocks[0]
+        S = np.zeros(shape)
+        for b, block in zip(self.shared, blocks):
+            S[b.out_cols, b.in_cols] = block
         return S
 
     def superblocks(self) -> dict[str, np.ndarray]:
@@ -441,6 +434,14 @@ def _digest(*arrays: np.ndarray) -> bytes:
     return h.digest()
 
 
+def _check_labels(X: np.ndarray, y: np.ndarray, n_classes: int) -> None:
+    """Raise ValueError unless y holds one label in range(n_classes) per row of X."""
+    if y.shape != X.shape[:1] or not np.issubdtype(y.dtype, np.integer):
+        raise ValueError(f"need one integer label per row of X {X.shape}, got {y.dtype} {y.shape}")
+    if y.min() < 0 or y.max() >= n_classes:
+        raise ValueError("labels out of range")
+
+
 def margins(net: EquivariantNetwork, X: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Per-sample margin: true-class logit minus the best other logit.
 
@@ -451,12 +452,14 @@ def margins(net: EquivariantNetwork, X: np.ndarray, y: np.ndarray) -> np.ndarray
     edit of X or y changes the digest; an in-place edit of the
     coefficients is seen only through `mark_dirty`, which every update
     in this module calls.
-    Raises ValueError for an empty set, whose mean margin loss would be NaN.
+    Raises ValueError for an empty set, whose mean margin loss would be
+    NaN, or unless y holds one in-range integer label per row of X.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y)
     if len(X) == 0:
         raise ValueError("need at least one sample")
+    _check_labels(X, y, net.n_classes)
     versions = tuple(layer.version for layer in net.layers)
     digest = _digest(X, y)
     memo = net._margins_memo
@@ -646,15 +649,15 @@ def train(
     strictly above cfg.gamma is evaluated; training stops once it
     reaches MARGIN_TARGET and raises MarginNotReached otherwise.
     Raises TrainingDiverged on the first non-finite batch loss, or when
-    the coefficients are not all finite at the end of an epoch.
+    the coefficients are not all finite at the end of an epoch, and
+    ValueError unless y holds one in-range integer label per row of X.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y)
     m = X.shape[0]
     if m == 0:
         raise ValueError("empty training set")
-    if y.min() < 0 or y.max() >= net.n_classes:
-        raise ValueError("labels out of range")
+    _check_labels(X, y, net.n_classes)
     rng = np.random.default_rng(cfg.seed)
     state = _adam_state(net)
     step = 0

@@ -48,7 +48,7 @@ __all__ = [
 
 @dataclass
 class CheckResult:
-    """Outcome of one check: worst violation vs allowed threshold."""
+    """Outcome of one check: worst violation vs threshold; no trials, no pass."""
 
     name: str
     max_violation: float
@@ -58,7 +58,7 @@ class CheckResult:
     details: dict | None = None
 
     def __post_init__(self) -> None:
-        self.passed = self.max_violation <= self.threshold
+        self.passed = self.trials >= 1 and self.max_violation <= self.threshold
 
 
 def format_check_result(r: CheckResult) -> str:

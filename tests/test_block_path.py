@@ -80,14 +80,13 @@ D, B = "dense", "block"
 @pytest.mark.parametrize(
     "symmetry, size, max_frequency, group, widths, routes",
     [
-        # c8_wide and c1_wide: only the 2048 -> 512 layer is wide enough
-        # that rebuilding W costs more than a batch's basis changes.
-        pytest.param("so2", 6, 6, ("cyclic", 8), (2048, 512), (D, B, D), id="c8_wide"),
-        pytest.param("so2", 6, 6, ("cyclic", 1), (2048, 512), (D, B, D), id="c1_wide"),
-        # The grid cells: C1's one superblock is all of W, so nothing is
-        # skipped; every other 512 -> 128 layer skips at least 102 times
-        # the entries of its basis changes per row, the thin input and
+        # C1's one superblock is all of W, so nothing is skipped at any
+        # width and every C1 layer stays dense.  Every other hidden layer
+        # skips at least 102 times the entries of its basis changes per
+        # row (640 times for c8_wide's 2048 -> 512), the thin input and
         # logit layers at most 29 times.
+        pytest.param("so2", 6, 6, ("cyclic", 8), (2048, 512), (D, B, D), id="c8_wide"),
+        pytest.param("so2", 6, 6, ("cyclic", 1), (2048, 512), (D, D, D), id="c1_wide"),
         pytest.param("so2", 6, 6, ("cyclic", 1), (512, 128), (D, D, D), id="grid-C1"),
         pytest.param("so2", 6, 6, ("cyclic", 2), (512, 128), (D, B, D), id="grid-C2"),
         pytest.param("so2", 6, 6, ("cyclic", 4), (512, 128), (D, B, D), id="grid-C4"),
@@ -111,6 +110,24 @@ def test_route_threshold_at_256_by_64():
         reg = regular_representation(build_group("cyclic", n))
         layer = EquivariantLayer(stack_rep(reg, 256 // n), stack_rep(reg, 64 // n))
         assert layer.blockwise is blockwise
+
+
+def test_c1_matrix_is_a_view_of_the_coefficients():
+    """A C1 layer's bases are the identity and its one superblock spans
+    all of W, so `block_matrix()` and `matrix` are its coefficients,
+    before and after a train epoch."""
+    net = _net_for("so2", 6, 6, ("cyclic", 1), (64, 16))
+    for layer in net.layers:
+        coef = layer.coefficients["triv"]
+        assert np.shares_memory(layer.block_matrix(), coef)
+        assert np.shares_memory(layer.matrix, coef)
+    X, y = _batch(net, 0, 100)
+    with pytest.raises(MarginNotReached):
+        train(net, X, y, TrainConfig(gamma=1e6, max_epochs=1, batch_size=32, seed=0))
+    for layer in net.layers:
+        coef = layer.coefficients["triv"]
+        assert np.shares_memory(layer.matrix, coef)
+        assert layer.matrix.tobytes() == coef[:, :, 0].tobytes()
 
 
 def _dense_forward(net, X):

@@ -517,6 +517,16 @@ def test_verify_smoke(capsys):
     assert any("perturbation-inequality" in line for line in lines)
 
 
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_verify_rejects_nonpositive_trials(trials, capsys):
+    """A check with no trials would print PASS having shown nothing."""
+    rc = main(["verify", "--trials", trials])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err == f"error: --trials must be at least 1, got {trials}\n"
+
+
 # ------------------------------------------------------------------- sweep
 
 

@@ -605,6 +605,31 @@ def test_train_rejects_bad_labels():
         train(net, X, np.array([0, 1, 2, 0]), cfg)
 
 
+@pytest.mark.parametrize(
+    "labels", [[0, 1, 1], [0, 1, 1, 0, 1], [0.0, 1.0, 1.0, 0.0]], ids=["short", "long", "float"]
+)
+def test_labels_must_be_one_integer_per_row(labels):
+    G, net = _small_net()
+    X = np.random.default_rng(0).standard_normal((4, net.input_rep.dim))
+    y = np.array(labels)
+    message = rf"one integer label per row of X \(4, {net.input_rep.dim}\), got {y.dtype} \({len(y)},\)"
+    with pytest.raises(ValueError, match=message):
+        train(net, X, y, TrainConfig(gamma=1.0, max_epochs=1))
+    with pytest.raises(ValueError, match=message):
+        margins(net, X, y)
+    with pytest.raises(ValueError, match=message):
+        empirical_margin_loss(net, X, y, 0.0)
+
+
+def test_margins_refuse_labels_out_of_range():
+    """A negative label would index the last class."""
+    G, net = _small_net()
+    X = np.zeros((2, net.input_rep.dim))
+    for y in ([0, -1], [0, 2]):
+        with pytest.raises(ValueError, match="labels out of range"):
+            margins(net, X, np.array(y))
+
+
 def test_training_preserves_equivariance():
     G, net = _small_net("dihedral", 3, channels=(4, 2))
     rng = np.random.default_rng(11)

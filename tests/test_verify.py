@@ -40,6 +40,9 @@ def test_check_result_pass_fail_logic():
     assert not bad.passed
     edge = CheckResult(name="x", max_violation=0.0, trials=1, threshold=0.0)
     assert edge.passed
+    # A check that ran no trials has shown nothing.
+    empty = CheckResult(name="x", max_violation=-np.inf, trials=0, threshold=1e-9)
+    assert not empty.passed
 
 
 def test_format_check_result_line():
