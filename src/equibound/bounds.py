@@ -8,8 +8,9 @@ and Fourier norms, the multiplicity factor M(l, eta), the combinatorial
 factor xi(m) = 1 + Q(m) (Ramanujan's Q; xi(m) ~ sqrt(pi m / 2) + 2/3),
 spectral tail thresholds for random equivariant matrices, and the
 perturbation inequality right-hand side.  `BoundInputs` caches
-each per-layer factor (norms, Fourier sums, multiplicity factors) once
-for every report that reads it.
+each per-layer factor (norms and Fourier sums, read in one pass by
+`layer_norms`, and multiplicity factors) once for every report that
+reads it.
 
 A layer's spectral norm is read from its Fourier coefficients: each
 shared irrep's superblock has the singular values of a small reduced
@@ -32,7 +33,7 @@ from functools import cache, cached_property
 
 import numpy as np
 
-from .equivariant import EquivariantNetwork
+from .equivariant import EquivariantLayer, EquivariantNetwork
 from .irreps import SharedIrrep, irreps_of, shared_irreps
 
 __all__ = [
@@ -43,8 +44,8 @@ __all__ = [
     "alternative_bound",
     "compute_report",
     "csv_header",
-    "fourier_frobenius_sum",
     "groupconv_bound",
+    "layer_norms",
     "m_factor",
     "main_bound",
     "perturbation_rhs",
@@ -96,16 +97,6 @@ def spectral_norm(W: np.ndarray) -> float:
     if max(W.shape) <= 4096:
         return float(np.linalg.svd(W, compute_uv=False)[0])
     raise RuntimeError("power iteration failed to converge")
-
-
-def fourier_frobenius_sum(layer) -> float:
-    """S_l: squared Frobenius mass of the Fourier blocks, per irrep dim.
-
-    Because the intertwiner basis matrices are orthogonal with
-    Frobenius norm sqrt(dim), this equals the plain sum of squared
-    coefficients.
-    """
-    return float(sum(np.vdot(a, a) for a in layer.coefficients.values()))
 
 
 def _irrep_complexity(b: SharedIrrep) -> float:
@@ -169,33 +160,33 @@ def _reduced_matrix(b: SharedIrrep, coef: np.ndarray) -> np.ndarray:
     return np.block([[z, w], [-w.conj(), z.conj()]])
 
 
-def _layer_norms(net: EquivariantNetwork) -> tuple[list[float], list[float]]:
-    """Spectral and Frobenius norms of every layer, read from its coefficients.
+def layer_norms(layer: EquivariantLayer) -> tuple[float, float, float]:
+    """(|W|_2, |W|_F, S_l) of one layer, read once from its coefficients.
 
     W = Q_out S Q_in^T with orthogonal Q and S block-diagonal over irreps,
     so |W|_2 is the largest superblock spectral norm, which is that of
     the irrep's reduced matrix (see _reduced_matrix); no superblock is
     expanded.  A superblock is sum_t kron(basis_t, coef_t) with
-    Frobenius-orthogonal basis matrices of norm sqrt(dim), so
-    |W|_F^2 = sum_psi dim_psi |coef_psi|^2.
+    Frobenius-orthogonal basis matrices of norm sqrt(dim), so its squared
+    Frobenius norm is dim_psi S_psi, S_psi = |coef_psi|^2.  S_l is
+    sum_psi S_psi and |W|_F^2 = sum_psi dim_psi S_psi.  Each S_psi is
+    einsum's sum of squares per output row, added by numpy's pairwise
+    sum: no BLAS call, so it does not depend on the BLAS thread count,
+    and no chain of additions is longer than a row.
     """
-    specs, fros = [], []
-    for layer in net.layers:
-        spec = 0.0
-        fro_sq = 0.0
-        for b in layer.shared:
-            a = layer.coefficients[b.irrep_id]
-            spec = max(spec, spectral_norm(_reduced_matrix(b, a)))
-            fro_sq += b.dim * np.vdot(a, a)
-        specs.append(spec)
-        fros.append(math.sqrt(fro_sq))
-    if any(s == 0.0 for s in specs):
-        raise ValueError("a layer has zero spectral norm")
-    return specs, fros
+    spec = fro_sq = s_sum = 0.0
+    for b in layer.shared:
+        a = layer.coefficients[b.irrep_id]
+        spec = max(spec, spectral_norm(_reduced_matrix(b, a)))
+        rows = a.reshape(len(a), -1)
+        s_psi = float(np.einsum("ij,ij->i", rows, rows).sum())
+        s_sum += s_psi
+        fro_sq += b.dim * s_psi
+    return spec, math.sqrt(fro_sq), s_sum
 
 
 def _sigma0(
-    specs: list[float], m_factors: tuple[float, ...], gamma: float, B: float
+    specs: tuple[float, ...], m_factors: tuple[float, ...], gamma: float, B: float
 ) -> float:
     """Posterior width sigma0 = gamma / (4 e B beta^(L-1) sum_l sqrt(M_l)).
 
@@ -281,17 +272,16 @@ class BoundInputs:
     test_err: float = float("nan")
 
     @cached_property
-    def norms(self) -> tuple[list[float], list[float]]:
-        """Per-layer (spectral, Frobenius) norms of `net`, taken on first use.
+    def norms(self) -> tuple[tuple[float, ...], tuple[float, ...], tuple[float, ...]]:
+        """Per-layer spectral norms, Frobenius norms and S_l of `net`
+        (see layer_norms), taken on first use.
 
         Build new inputs after changing the network's coefficients.
         """
-        return _layer_norms(self.net)
-
-    @cached_property
-    def fourier_sums(self) -> tuple[float, ...]:
-        """Per-layer S_l of `net` (see fourier_frobenius_sum), taken on first use."""
-        return tuple(fourier_frobenius_sum(layer) for layer in self.net.layers)
+        specs, fros, s_sums = zip(*map(layer_norms, self.net.layers))
+        if 0.0 in specs:
+            raise ValueError("a layer has zero spectral norm")
+        return specs, fros, s_sums
 
     @cached_property
     def m_factors(self) -> tuple[float, ...]:
@@ -376,9 +366,9 @@ def _confidence_terms(inputs: BoundInputs, L: int) -> tuple[float, float, float]
 def _lead(inputs: BoundInputs, eta: float, complexity: float) -> float:
     """The main and group-conv bounds' lead term, in this order of operations:
     32 e^4 B^2 prod_l spec_l^2 / (gamma^2 m eta) * complexity * sum_l S_l / spec_l^2."""
-    specs, _ = inputs.norms
+    specs, _, s_sums = inputs.norms
     prod_spec_sq = float(np.prod([s * s for s in specs]))
-    sum_ratio = sum(s / (w * w) for s, w in zip(inputs.fourier_sums, specs))
+    sum_ratio = sum(s / (w * w) for s, w in zip(s_sums, specs))
     return (
         32.0
         * math.e**4
@@ -399,8 +389,7 @@ def main_bound(inputs: BoundInputs) -> BoundReport:
     added by their own functions (see compute_report).
     """
     net = inputs.net
-    specs, fros = inputs.norms
-    s_sums = inputs.fourier_sums
+    specs, fros, s_sums = inputs.norms
     m_facs = inputs.m_factors
     lead = _lead(inputs, inputs.eta, sum(math.sqrt(v) for v in m_facs) ** 2)
     xi_m, conf, conf_literal = _confidence_terms(inputs, net.depth)
@@ -418,8 +407,8 @@ def main_bound(inputs: BoundInputs) -> BoundReport:
         train_margin_loss=inputs.train_margin_loss,
         test_err=inputs.test_err,
         generalization_error=inputs.test_err - inputs.train_err,
-        spectral_norms=tuple(specs),
-        frobenius_norms=tuple(fros),
+        spectral_norms=specs,
+        frobenius_norms=fros,
         fourier_frobenius_sums=s_sums,
         m_factors=m_facs,
         xi_m=xi_m,
@@ -468,9 +457,13 @@ def groupconv_bound(inputs: BoundInputs) -> GroupConvTerms:
 
     The multiplicity factors collapse into the group constants
     D_H = max_psi dim^2/c and E_H = sum_psi dim/c, with eta fixed at
-    1/2; on all-regular networks this is numerically identical to the
-    main bound.  Q_H is the architecture-independent complexity factor
-    reported for reference.
+    1/2, and each rep is counted as its regular-stack cover (see
+    _channel_counts).  So at eta = 1/2 the two bounds are equal when
+    every rep, the input and the logits included, is a regular stack;
+    among build_network's nets that holds only over C1.  Elsewhere the
+    cover holds more multiplicity than the rep, and
+    bound_groupconv >= bound_main.  Q_H is the architecture-independent
+    complexity factor reported for reference.
     """
     net = inputs.net
     L = net.depth
@@ -499,7 +492,7 @@ def alternative_bound(inputs: BoundInputs) -> float:
     h and the largest irrep dimension of H.
     """
     net = inputs.net
-    specs, fros = inputs.norms
+    specs, fros, _ = inputs.norms
     L = net.depth
     h = max(rep.dim for rep in net.reps)
     max_dim = max(psi.dim for psi in irreps_of(net.group))

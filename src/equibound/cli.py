@@ -35,9 +35,9 @@ import numpy as np
 
 from .bounds import (
     BoundInputs,
-    _layer_norms,
     compute_report,
     csv_header,
+    layer_norms,
     report_to_csv_row,
     report_to_json,
     tail_threshold,
@@ -338,10 +338,10 @@ def _verify_suite(trials: int, seed: int) -> list:
 
 def _admissible_sigma(net) -> float:
     """A coefficient scale that keeps drawn perturbations admissible."""
-    specs, _ = _layer_norms(net)
     return 0.3 * min(
-        spec / (net.depth * tail_threshold(layer.in_rep, layer.out_rep, 1.0, 1.0).threshold)
-        for spec, layer in zip(specs, net.layers)
+        layer_norms(layer)[0]
+        / (net.depth * tail_threshold(layer.in_rep, layer.out_rep, 1.0, 1.0).threshold)
+        for layer in net.layers
     )
 
 

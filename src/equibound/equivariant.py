@@ -321,11 +321,14 @@ class EquivariantNetwork:
         projected onto the intertwiner basis into the (m_out, m_in, c)
         layout of the coefficients.  The input gradient goes back the
         way the layer was applied: through the superblocks, or through W.
+        Raises ValueError for an empty or non-2D batch, or unless y holds
+        one in-range integer label per row of X.
         """
         X = np.asarray(X, dtype=np.float64)
         y = np.asarray(y)
         if X.ndim != 2 or X.shape[0] == 0:
             raise ValueError("need a nonempty 2D batch")
+        _check_labels(X, y, self.n_classes)
         last = len(self.layers) - 1
         inputs: list[np.ndarray] = []
         masks: list[np.ndarray] = []

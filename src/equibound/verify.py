@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bounds import _layer_norms, perturbation_rhs, spectral_norm, tail_threshold
+from .bounds import layer_norms, perturbation_rhs, spectral_norm, tail_threshold
 from .equivariant import EquivariantLayer, EquivariantNetwork
 from .groups import FiniteGroup
 from .irreps import (
@@ -314,7 +314,7 @@ def mc_perturbation_check(
     L = net.depth
     base = net.forward(X)
     weights = [layer.matrix.copy() for layer in net.layers]
-    spec_w, _ = _layer_norms(net)
+    spec_w = [layer_norms(layer)[0] for layer in net.layers]
     worst = -math.inf
     rejected = 0
     accepted = 0

@@ -13,8 +13,8 @@ from equibound.bounds import (
     alternative_bound,
     compute_report,
     csv_header,
-    fourier_frobenius_sum,
     groupconv_bound,
+    layer_norms,
     m_factor,
     main_bound,
     perturbation_rhs,
@@ -186,7 +186,7 @@ def test_fourier_sum_single_complex_block():
     layer = EquivariantLayer(rep, rep)
     a, b = 0.8, -1.3
     layer.set_coefficients({"freq:1": np.array([[[a, b]]])})
-    assert fourier_frobenius_sum(layer) == pytest.approx(a * a + b * b, rel=1e-14)
+    assert layer_norms(layer)[2] == pytest.approx(a * a + b * b, rel=1e-14)
     assert np.sum(layer.matrix**2) == pytest.approx(2 * (a * a + b * b), rel=1e-12)
     assert spectral_norm(layer.matrix) == pytest.approx(math.hypot(a, b), rel=1e-12)
 
@@ -200,7 +200,7 @@ def test_fourier_sum_dual_route_via_superblocks():
         via_blocks = sum(
             float(np.sum(B**2)) / dims[pid] for pid, B in blocks.items()
         )
-        direct = fourier_frobenius_sum(layer)
+        direct = layer_norms(layer)[2]
         assert direct == pytest.approx(via_blocks, rel=1e-12)
         # the orthogonal change of basis preserves Frobenius mass
         dense_fro2 = float(np.sum(layer.matrix**2))
@@ -213,13 +213,13 @@ def test_fourier_sum_upper_bounds_spectral_norm_squared():
     G, net = _regular_net("cyclic", 6, channels=(3, 2), seed=8)
     _randomize(net, seed=9)
     for layer in net.layers:
-        assert fourier_frobenius_sum(layer) >= spectral_norm(layer.matrix) ** 2 - 1e-10
+        assert layer_norms(layer)[2] >= spectral_norm(layer.matrix) ** 2 - 1e-10
 
 
 def test_fourier_sum_zero_layer():
     G = build_group("cyclic", 4)
     reg = regular_representation(G)
-    assert fourier_frobenius_sum(EquivariantLayer(reg, reg)) == 0.0
+    assert layer_norms(EquivariantLayer(reg, reg))[2] == 0.0
 
 
 # --------------------------------------------------------------- m factors
@@ -341,7 +341,7 @@ def test_report_kl_is_sum_of_squares_over_2sigma2():
     G, net = _regular_net(seed=4)
     _randomize(net, seed=5)
     report = main_bound(_inputs(net))
-    total = sum(fourier_frobenius_sum(l) for l in net.layers)
+    total = sum(layer_norms(l)[2] for l in net.layers)
     assert report.kl == pytest.approx(total / (2 * report.sigma0**2), rel=1e-12)
     # Scaling every layer by lambda scales S_l by lambda^2 and sigma0 by
     # lambda^-(L-1), so the KL term by lambda^(2L).
@@ -497,7 +497,7 @@ def test_main_bound_scale_invariance_factorwise():
     _randomize(net, seed=13)
     prod0 = math.prod(spectral_norm(l.matrix) ** 2 for l in net.layers)
     ratios0 = [
-        fourier_frobenius_sum(l) / spectral_norm(l.matrix) ** 2 for l in net.layers
+        layer_norms(l)[2] / spectral_norm(l.matrix) ** 2 for l in net.layers
     ]
     lams = [2.0, 0.25, 1.0 / (2.0 * 0.25)]
     assert math.prod(lams) == pytest.approx(1.0, abs=1e-15)
@@ -507,7 +507,7 @@ def test_main_bound_scale_invariance_factorwise():
         )
     prod1 = math.prod(spectral_norm(l.matrix) ** 2 for l in net.layers)
     ratios1 = [
-        fourier_frobenius_sum(l) / spectral_norm(l.matrix) ** 2 for l in net.layers
+        layer_norms(l)[2] / spectral_norm(l.matrix) ** 2 for l in net.layers
     ]
     assert prod1 == pytest.approx(prod0, rel=1e-8)
     for r0, r1 in zip(ratios0, ratios1):
@@ -667,7 +667,7 @@ def test_report_reuses_inputs_terms_exactly():
     inputs = _inputs(net, m=300)
     report = compute_report(inputs)
     assert report.fourier_frobenius_sums == tuple(
-        fourier_frobenius_sum(layer) for layer in net.layers
+        layer_norms(layer)[2] for layer in net.layers
     )
     assert report.m_factors == tuple(m_factor(net, l, 0.5) for l in range(1, net.depth + 1))
     assert report.kl == sum(report.fourier_frobenius_sums) / (2.0 * report.sigma0**2)
@@ -691,6 +691,23 @@ def test_groupconv_equals_main_on_all_regular_nets():
         inputs = _inputs(net, m=777, gamma=1.2, B=1.7, margin_loss=0.3)
         report = compute_report(inputs)
         assert report.bound_groupconv == pytest.approx(report.bound_main, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "kind, N", [("cyclic", 1), ("cyclic", 4), ("cyclic", 8), ("dihedral", 4)]
+)
+def test_groupconv_covers_main_on_built_nets(kind, N):
+    """A built net's input rep and trivial logits are regular stacks only
+    over C1, so only there do the bounds agree; elsewhere each rep is
+    counted as its regular-stack cover and the group-conv bound is larger."""
+    G = build_group(kind, N)
+    inp = restricted_frequency_rep(G, 1, kind == "dihedral")
+    net = build_network(G, inp, [3, 2], 2, seed=3)
+    report = compute_report(_inputs(net, m=777, gamma=1.2, B=1.7, margin_loss=0.3))
+    if N == 1:
+        assert report.bound_groupconv == pytest.approx(report.bound_main, rel=1e-12)
+    else:
+        assert report.bound_groupconv >= report.bound_main
 
 
 def test_groupconv_constants_per_group():

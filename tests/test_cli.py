@@ -5,7 +5,10 @@ import csv
 import io
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import warnings
 from dataclasses import asdict, fields
 from pathlib import Path
@@ -575,6 +578,31 @@ def test_sweep_reproducible_byte_identical(tmp_path):
     with open(out2["csv_path"], "rb") as f:
         body2 = f.read()
     assert body1 == body2
+
+
+def test_rows_do_not_depend_on_blas_threads(tmp_path):
+    """C1's 512->128 hidden layer holds 65,536 coefficients, the size at
+    which OpenBLAS splits a dot product across threads; the bound's sums
+    of squares must not depend on the split."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    args = (
+        "sweep --symmetry so2 --sizes 6 --d 6 --groups cyclic:1 --m-grid 256 "
+        "--seeds 0 --widths 512 128 --test-m 64 --max-epochs 1"
+    ).split()
+    bodies = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        out = tmp_path / threads
+        subprocess.run(
+            [sys.executable, "-m", "equibound.cli", *args, "--out-dir", str(out)],
+            env=env,
+            check=True,
+            capture_output=True,
+            timeout=300,
+        )
+        bodies.append((out / "rows.csv").read_bytes())
+    assert bodies[0] == bodies[1]
 
 
 def test_sweep_failed_write_keeps_previous_rows(tmp_path, monkeypatch):

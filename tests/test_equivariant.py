@@ -619,6 +619,8 @@ def test_labels_must_be_one_integer_per_row(labels):
         margins(net, X, y)
     with pytest.raises(ValueError, match=message):
         empirical_margin_loss(net, X, y, 0.0)
+    with pytest.raises(ValueError, match=message):
+        net.loss_and_grads(X, y)
 
 
 def test_margins_refuse_labels_out_of_range():
@@ -628,6 +630,8 @@ def test_margins_refuse_labels_out_of_range():
     for y in ([0, -1], [0, 2]):
         with pytest.raises(ValueError, match="labels out of range"):
             margins(net, X, np.array(y))
+        with pytest.raises(ValueError, match="labels out of range"):
+            net.loss_and_grads(X, np.array(y))
 
 
 def test_training_preserves_equivariance():
