@@ -39,7 +39,6 @@ from .irreps import SharedIrrep, irreps_of, shared_irreps
 __all__ = [
     "BoundInputs",
     "BoundReport",
-    "GroupConvTerms",
     "TailBounds",
     "alternative_bound",
     "compute_report",
@@ -317,7 +316,7 @@ def _check_square(name: str, v: float) -> None:
         )
 
 
-@dataclass
+@dataclass(frozen=True)
 class BoundReport:
     """One row of results: data facts, per-layer norms, and all bounds.
 
@@ -348,11 +347,11 @@ class BoundReport:
     kl: float
     bound_main: float
     bound_main_as_written: float
-    bound_groupconv: float = float("nan")
-    bound_alt: float = float("nan")
-    D_H: float = float("nan")
-    E_H: float = float("nan")
-    Q_H: float = float("nan")
+    bound_groupconv: float
+    bound_alt: float
+    D_H: float
+    E_H: float
+    Q_H: float
 
 
 def _confidence_terms(inputs: BoundInputs, L: int) -> tuple[float, float, float]:
@@ -380,54 +379,25 @@ def _lead(inputs: BoundInputs, eta: float, complexity: float) -> float:
     )
 
 
-def main_bound(inputs: BoundInputs) -> BoundReport:
+def main_bound(inputs: BoundInputs) -> dict[str, float]:
     """Margin bound from the layerwise multiplicity factors.
 
-    Its complexity is (sum_l sqrt(M_l))^2.  Fills every shared
-    intermediate of the report, with sigma0 and the KL term
-    sum_l S_l / (2 sigma0^2); the group-conv and norm-only bounds are
-    added by their own functions (see compute_report).
+    Its complexity is (sum_l sqrt(M_l))^2.  Returns the report fields it
+    computes: xi_m, sigma0, the KL term sum_l S_l / (2 sigma0^2) as kl,
+    and both readings of the bound (see compute_report).
     """
-    net = inputs.net
-    specs, fros, s_sums = inputs.norms
+    specs, _, s_sums = inputs.norms
     m_facs = inputs.m_factors
     lead = _lead(inputs, inputs.eta, sum(math.sqrt(v) for v in m_facs) ** 2)
-    xi_m, conf, conf_literal = _confidence_terms(inputs, net.depth)
+    xi_m, conf, conf_literal = _confidence_terms(inputs, inputs.net.depth)
     sigma0 = _sigma0(specs, m_facs, inputs.gamma, inputs.B)
-    return BoundReport(
-        group_kind=net.group.kind,
-        N=net.group.N,
-        order=net.group.order,
-        m=inputs.m,
-        gamma=inputs.gamma,
-        eta=inputs.eta,
-        delta=inputs.delta,
-        B=inputs.B,
-        train_err=inputs.train_err,
-        train_margin_loss=inputs.train_margin_loss,
-        test_err=inputs.test_err,
-        generalization_error=inputs.test_err - inputs.train_err,
-        spectral_norms=specs,
-        frobenius_norms=fros,
-        fourier_frobenius_sums=s_sums,
-        m_factors=m_facs,
-        xi_m=xi_m,
-        sigma0=sigma0,
-        kl=sum(s_sums) / (2.0 * sigma0**2),
-        bound_main=inputs.train_margin_loss + math.sqrt(lead + conf),
-        bound_main_as_written=inputs.train_margin_loss
-        + math.sqrt(lead + conf_literal),
-    )
-
-
-@dataclass(frozen=True)
-class GroupConvTerms:
-    """Group-level quantities and the specialized bound."""
-
-    D_H: float
-    E_H: float
-    Q_H: float
-    bound: float
+    return {
+        "xi_m": xi_m,
+        "sigma0": sigma0,
+        "kl": sum(s_sums) / (2.0 * sigma0**2),
+        "bound_main": inputs.train_margin_loss + math.sqrt(lead + conf),
+        "bound_main_as_written": inputs.train_margin_loss + math.sqrt(lead + conf_literal),
+    }
 
 
 def _channel_counts(net: EquivariantNetwork) -> list[int]:
@@ -452,7 +422,7 @@ def _channel_counts(net: EquivariantNetwork) -> list[int]:
     return counts
 
 
-def groupconv_bound(inputs: BoundInputs) -> GroupConvTerms:
+def groupconv_bound(inputs: BoundInputs) -> dict[str, float]:
     """Specialize the main bound to group-convolutional architectures.
 
     The multiplicity factors collapse into the group constants
@@ -463,7 +433,8 @@ def groupconv_bound(inputs: BoundInputs) -> GroupConvTerms:
     among build_network's nets that holds only over C1.  Elsewhere the
     cover holds more multiplicity than the rep, and
     bound_groupconv >= bound_main.  Q_H is the architecture-independent
-    complexity factor reported for reference.
+    complexity factor reported for reference.  Returns the report fields
+    bound_groupconv, D_H, E_H and Q_H.
     """
     net = inputs.net
     L = net.depth
@@ -477,12 +448,12 @@ def groupconv_bound(inputs: BoundInputs) -> GroupConvTerms:
     lead = _lead(inputs, 0.5, complexity)
     _, conf, _ = _confidence_terms(inputs, L)
     Q_H = sqrt_cc**2 * D_H * math.log(2.0 * E_H * sum(counts[:-1]))
-    return GroupConvTerms(
-        D_H=D_H,
-        E_H=E_H,
-        Q_H=Q_H,
-        bound=inputs.train_margin_loss + math.sqrt(lead + conf),
-    )
+    return {
+        "bound_groupconv": inputs.train_margin_loss + math.sqrt(lead + conf),
+        "D_H": D_H,
+        "E_H": E_H,
+        "Q_H": Q_H,
+    }
 
 
 def alternative_bound(inputs: BoundInputs) -> float:
@@ -511,15 +482,34 @@ def alternative_bound(inputs: BoundInputs) -> float:
 
 
 def compute_report(inputs: BoundInputs) -> BoundReport:
-    """All three bounds plus intermediates in one report."""
-    report = main_bound(inputs)
-    gc = groupconv_bound(inputs)
-    report.bound_groupconv = gc.bound
-    report.D_H = gc.D_H
-    report.E_H = gc.E_H
-    report.Q_H = gc.Q_H
-    report.bound_alt = alternative_bound(inputs)
-    return report
+    """All three bounds plus intermediates in one report.
+
+    The only builder of a BoundReport: each bound function returns the
+    fields it computes, by name, so every field is set exactly once.
+    """
+    net = inputs.net
+    specs, fros, s_sums = inputs.norms
+    return BoundReport(
+        group_kind=net.group.kind,
+        N=net.group.N,
+        order=net.group.order,
+        m=inputs.m,
+        gamma=inputs.gamma,
+        eta=inputs.eta,
+        delta=inputs.delta,
+        B=inputs.B,
+        train_err=inputs.train_err,
+        train_margin_loss=inputs.train_margin_loss,
+        test_err=inputs.test_err,
+        generalization_error=inputs.test_err - inputs.train_err,
+        spectral_norms=specs,
+        frobenius_norms=fros,
+        fourier_frobenius_sums=s_sums,
+        m_factors=inputs.m_factors,
+        **main_bound(inputs),
+        **groupconv_bound(inputs),
+        bound_alt=alternative_bound(inputs),
+    )
 
 
 def csv_header(depth: int) -> list[str]:

@@ -11,8 +11,9 @@ Subcommands:
   summaries.  Identical configs and seeds reproduce byte-identical CSV
   bodies.
 
-Exit codes: 0 on success, 2 for invalid configuration, 3 when training
-misses the margin target outside of a sweep, 4 when training diverges
+Exit codes: 0 on success, 2 for invalid configuration or a path that
+cannot be read or written, 3 when training misses the margin target
+outside of a sweep, 4 when training diverges
 (a non-finite loss or coefficients; a sweep stops at that cell and
 writes no rows.csv).
 """
@@ -244,10 +245,12 @@ def _cmd_bound(args: argparse.Namespace) -> int:
         raise ValueError("no gamma given and none recorded in the checkpoint")
     test_set = load_dataset(args.test_data)[1] if args.test_data else None
     report = _bound_report(net, train_set, test_set, float(gamma), args.eta, args.delta)
-    headline = report.bound_main_as_written if args.as_written else report.bound_main
-    label = "bound_main_as_written" if args.as_written else "bound_main"
     print(f"train_err={report.train_err:.4f} test_err={report.test_err:.4f}")
-    print(f"{label}={headline:.6g} groupconv={report.bound_groupconv:.6g} alt={report.bound_alt:.6g}")
+    print(
+        f"bound_main={report.bound_main:.6g} "
+        f"bound_main_as_written={report.bound_main_as_written:.6g} "
+        f"groupconv={report.bound_groupconv:.6g} alt={report.bound_alt:.6g}"
+    )
     if args.csv:
         _write_csv(args.csv, csv_header(net.depth), [report_to_csv_row(report)])
         print(f"wrote {args.csv}")
@@ -386,9 +389,9 @@ class SweepConfig:
     augment: str = "none"
     random_labels: bool = False
     test_m: int = 10000
-    learning_rate: float = 0.01
-    max_epochs: int = 800
-    batch_size: int = 256
+    learning_rate: float = TrainConfig.learning_rate
+    max_epochs: int = TrainConfig.max_epochs
+    batch_size: int = TrainConfig.batch_size
     out_dir: str = "sweep-out"
 
     def config_hash(self) -> str:
@@ -686,9 +689,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--group", required=True, help="cyclic:N, dihedral:N or quaternion")
     p.add_argument("--widths", type=int, nargs="+", default=[2048, 512])
     p.add_argument("--gamma", type=float, default=10.0)
-    p.add_argument("--lr", type=float, default=0.01)
-    p.add_argument("--epochs", type=int, default=800)
-    p.add_argument("--batch", type=int, default=256)
+    p.add_argument("--lr", type=float, default=TrainConfig.learning_rate)
+    p.add_argument("--epochs", type=int, default=TrainConfig.max_epochs)
+    p.add_argument("--batch", type=int, default=TrainConfig.batch_size)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None, help="checkpoint path (JSON)")
     p.set_defaults(func=_cmd_train)
@@ -700,7 +703,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gamma", type=float, default=None)
     p.add_argument("--eta", type=float, default=0.5)
     p.add_argument("--delta", type=float, default=0.05)
-    p.add_argument("--as-written", action="store_true")
     p.add_argument("--csv", default=None)
     p.add_argument("--json", default=None)
     p.set_defaults(func=_cmd_bound)
@@ -728,7 +730,7 @@ def main(argv: list[str] | None = None) -> int:
     except TrainingDiverged as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except (ValueError, FileNotFoundError, KeyError, TypeError) as exc:
+    except (ValueError, OSError, KeyError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .equivariant import write_atomic
+from .equivariant import _check_keys, write_atomic
 from .groups import FiniteGroup
 from .irreps import RepSpec, direct_sum, restricted_frequency_rep
 
@@ -367,18 +367,27 @@ def save_dataset(path: str, spec: DatasetSpec, samples: SampleSet) -> None:
 def load_dataset(path: str) -> tuple[DatasetSpec, SampleSet]:
     """Inverse of save_dataset.
 
-    Raises ValueError for a symmetry that is not a family of SYMMETRIES,
-    for a file with no samples, and when the samples are inconsistent:
-    per-sample arrays (original_y included, when present) of different
-    lengths, non-finite features, a label or original label outside
-    {0, 1}, or a B below the largest feature norm.
+    Raises ValueError for a file that lacks a key save_dataset writes,
+    for a symmetry that is not a family of SYMMETRIES, for a number of
+    frequencies other than D, for a file with no samples, and when the
+    samples are inconsistent: per-sample arrays (original_y included,
+    when present) of different lengths, non-finite features, a label or
+    original label outside {0, 1}, or a B below the largest feature norm.
     """
     with open(path) as f:
         data = json.load(f)
+    spec_keys = ("symmetry", "D", "M", "frequencies", "representatives", "labels",
+                 "noise_sigma_tangent", "noise_sigma_ambient", "seed")
+    sample_keys = ("X", "y", "B", "rep_index", "angle", "reflect", "seed", "augment",
+                   "original_y")
+    table = tuple(("spec", k) for k in spec_keys) + tuple(("samples", k) for k in sample_keys)
+    _check_keys(path, data, table, "dataset")
     s = data["spec"]
     if s["symmetry"] not in SYMMETRIES:
         raise ValueError(f"{path}: unknown symmetry {s['symmetry']!r}")
     n_units = int(s["D"])
+    if len(s["frequencies"]) != n_units:
+        raise ValueError(f"{path}: {len(s['frequencies'])} frequencies for D={n_units} units")
     width = _unit_width(s["symmetry"])
     reps = np.asarray(s["representatives"], dtype=np.float64).reshape(-1, n_units * width)
     spec = DatasetSpec(

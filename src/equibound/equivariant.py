@@ -296,11 +296,7 @@ class EquivariantNetwork:
         X = np.asarray(X, dtype=np.float64)
         if X.ndim == 1:
             return self.forward(X[None, :])[0]
-        if X.shape[1] != self.input_rep.dim:
-            raise ValueError(
-                f"input dimension {X.shape[1]} does not match rep "
-                f"dimension {self.input_rep.dim}"
-            )
+        self._check_width(X)
         out = np.empty((X.shape[0], self.n_classes))
         last = len(self.layers) - 1
         for start in range(0, X.shape[0], EVAL_ROWS):
@@ -310,6 +306,14 @@ class EquivariantNetwork:
                 A = Z if l == last else np.maximum(Z, 0.0, out=Z)
             out[start : start + EVAL_ROWS] = A
         return out
+
+    def _check_width(self, X: np.ndarray) -> None:
+        """Raise ValueError unless the rows of X have the input rep's dimension."""
+        if X.shape[-1] != self.input_rep.dim:
+            raise ValueError(
+                f"input dimension {X.shape[-1]} does not match rep "
+                f"dimension {self.input_rep.dim}"
+            )
 
     def loss_and_grads(
         self, X: np.ndarray, y: np.ndarray
@@ -321,13 +325,15 @@ class EquivariantNetwork:
         projected onto the intertwiner basis into the (m_out, m_in, c)
         layout of the coefficients.  The input gradient goes back the
         way the layer was applied: through the superblocks, or through W.
-        Raises ValueError for an empty or non-2D batch, or unless y holds
-        one in-range integer label per row of X.
+        Raises ValueError for an empty or non-2D batch, one whose width is
+        not the input rep's dimension, or unless y holds one in-range
+        integer label per row of X.
         """
         X = np.asarray(X, dtype=np.float64)
         y = np.asarray(y)
         if X.ndim != 2 or X.shape[0] == 0:
             raise ValueError("need a nonempty 2D batch")
+        self._check_width(X)
         _check_labels(X, y, self.n_classes)
         last = len(self.layers) - 1
         inputs: list[np.ndarray] = []
@@ -499,7 +505,7 @@ class TrainConfig:
     """Optimization and stopping parameters for margin training."""
 
     gamma: float
-    max_epochs: int = 500
+    max_epochs: int = 800
     learning_rate: float = 0.01
     batch_size: int = 256
     seed: int = 0
@@ -653,13 +659,15 @@ def train(
     reaches MARGIN_TARGET and raises MarginNotReached otherwise.
     Raises TrainingDiverged on the first non-finite batch loss, or when
     the coefficients are not all finite at the end of an epoch, and
-    ValueError unless y holds one in-range integer label per row of X.
+    ValueError for an X whose width is not the input rep's dimension or
+    unless y holds one in-range integer label per row of X.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y)
     m = X.shape[0]
     if m == 0:
         raise ValueError("empty training set")
+    net._check_width(X)
     _check_labels(X, y, net.n_classes)
     rng = np.random.default_rng(cfg.seed)
     state = _adam_state(net)
@@ -765,16 +773,21 @@ CHECKPOINT_KEYS = (
 )
 
 
-def _check_checkpoint_keys(path: str, data: dict) -> None:
-    """Raise ValueError naming the file and the first key path it lacks."""
-    for keys in CHECKPOINT_KEYS:
+def _check_keys(path: str, data, table: tuple[tuple[str, ...], ...], noun: str) -> None:
+    """Raise ValueError naming the file and the first key path of `table`
+    that `data` lacks, or the first one that is not a JSON object on the way.
+
+    `noun` names the kind of file in the message: "checkpoint", "dataset".
+    """
+    for keys in table:
         entry = data
         for depth, key in enumerate(keys):
-            if not isinstance(entry, dict) or key not in entry:
-                where = "".join(f"[{k!r}]" for k in keys[:depth])
+            where = "".join(f"[{k!r}]" for k in keys[:depth])
+            if not isinstance(entry, dict):
+                raise ValueError(f"{path}: {noun} {where or 'file'} is not a JSON object")
+            if key not in entry:
                 raise ValueError(
-                    f"{path}: checkpoint lacks the key {key!r}"
-                    + (f" in {where}" if where else "")
+                    f"{path}: {noun} lacks the key {key!r}" + (f" in {where}" if where else "")
                 )
             entry = entry[key]
 
@@ -795,7 +808,7 @@ def load_checkpoint(path: str) -> tuple[EquivariantNetwork, dict]:
             f"{path}: checkpoint schema_version {version!r} is not supported "
             f"(expected {CHECKPOINT_SCHEMA})"
         )
-    _check_checkpoint_keys(path, data)
+    _check_keys(path, data, CHECKPOINT_KEYS, "checkpoint")
     entries = data["layers"]
     if not isinstance(entries, list):
         raise ValueError(f"{path}: checkpoint key 'layers' is not a JSON array")

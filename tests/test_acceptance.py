@@ -19,7 +19,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from equibound.bounds import BoundInputs, main_bound, xi
+from equibound.bounds import BoundInputs, compute_report, xi
 from equibound.cli import SweepConfig, _admissible_sigma, run_sweep
 from equibound.datasets import (
     generate_synthetic,
@@ -370,8 +370,8 @@ C9_RUNS = (
 
 def _c9_bound(net, samples, gamma: float) -> float:
     loss = empirical_margin_loss(net, samples.X, samples.y, gamma)
-    report = main_bound(BoundInputs(net=net, m=len(samples), gamma=gamma,
-                                    B=samples.B, train_margin_loss=loss))
+    report = compute_report(BoundInputs(net=net, m=len(samples), gamma=gamma,
+                                        B=samples.B, train_margin_loss=loss))
     return report.bound_main
 
 

@@ -1,5 +1,6 @@
 """Bound terms: frozen oracles, invariances, and dual-route cross-checks."""
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -314,7 +315,7 @@ def test_report_sigma0_formula():
     G, net = _regular_net(seed=2)
     _randomize(net, seed=3)
     gamma, B, eta = 2.0, 1.5, 0.5
-    sigma = main_bound(_inputs(net, gamma=gamma, B=B, eta=eta)).sigma0
+    sigma = compute_report(_inputs(net, gamma=gamma, B=B, eta=eta)).sigma0
     specs = [spectral_norm(l.matrix) for l in net.layers]
     L = len(specs)
     beta = math.prod(specs) ** (1.0 / L)
@@ -327,20 +328,20 @@ def test_report_sigma0_weight_scaling_homogeneity():
     """Scaling every layer by lambda scales sigma0 by lambda^-(L-1)."""
     G, net = _regular_net(seed=4)
     _randomize(net, seed=5)
-    sigma1 = main_bound(_inputs(net, gamma=1.0, B=1.0, eta=0.5)).sigma0
+    sigma1 = compute_report(_inputs(net, gamma=1.0, B=1.0, eta=0.5)).sigma0
     lam = 1.7
     for layer in net.layers:
         layer.set_coefficients(
             {pid: lam * co for pid, co in layer.coefficients.items()}
         )
-    sigma2 = main_bound(_inputs(net, gamma=1.0, B=1.0, eta=0.5)).sigma0
+    sigma2 = compute_report(_inputs(net, gamma=1.0, B=1.0, eta=0.5)).sigma0
     assert sigma2 * lam ** (net.depth - 1) == pytest.approx(sigma1, rel=1e-10)
 
 
 def test_report_kl_is_sum_of_squares_over_2sigma2():
     G, net = _regular_net(seed=4)
     _randomize(net, seed=5)
-    report = main_bound(_inputs(net))
+    report = compute_report(_inputs(net))
     total = sum(layer_norms(l)[2] for l in net.layers)
     assert report.kl == pytest.approx(total / (2 * report.sigma0**2), rel=1e-12)
     # Scaling every layer by lambda scales S_l by lambda^2 and sigma0 by
@@ -348,7 +349,7 @@ def test_report_kl_is_sum_of_squares_over_2sigma2():
     lam = 1.3
     for layer in net.layers:
         layer.set_coefficients({pid: lam * co for pid, co in layer.coefficients.items()})
-    scaled = main_bound(_inputs(net)).kl
+    scaled = compute_report(_inputs(net)).kl
     assert scaled == pytest.approx(report.kl * lam ** (2 * net.depth), rel=1e-10)
 
 
@@ -433,7 +434,7 @@ def test_main_bound_assembles_its_parts():
     G, net = _regular_net(seed=10)
     _randomize(net, seed=11)
     m, gamma, B, eta, delta = 400, 1.5, 2.0, 0.5, 0.05
-    report = main_bound(_inputs(net, m, gamma, B, 0.25, eta=eta, delta=delta))
+    report = compute_report(_inputs(net, m, gamma, B, 0.25, eta=eta, delta=delta))
     L = net.depth
     specs = report.spectral_norms
     sums = report.fourier_frobenius_sums
@@ -464,7 +465,7 @@ def test_main_bound_identity_net_closed_form():
     layer.set_coefficients({"triv": np.eye(2)[:, :, None]})
     net = EquivariantNetwork([layer])
     m = 100
-    report = main_bound(
+    report = compute_report(
         BoundInputs(net=net, m=m, gamma=1.0, B=1.0, train_margin_loss=0.0)
     )
     M1 = 5 * 2 * 2 * math.log(2 / 0.5)
@@ -486,8 +487,8 @@ def test_main_bound_identity_net_closed_form():
 def test_main_bound_decreases_in_gamma():
     G, net = _regular_net(seed=12)
     _randomize(net, seed=13)
-    b1 = main_bound(_inputs(net, gamma=1.0, margin_loss=0.0)).bound_main
-    b2 = main_bound(_inputs(net, gamma=2.0, margin_loss=0.0)).bound_main
+    b1 = compute_report(_inputs(net, gamma=1.0, margin_loss=0.0)).bound_main
+    b2 = compute_report(_inputs(net, gamma=2.0, margin_loss=0.0)).bound_main
     assert b2 < b1
 
 
@@ -720,8 +721,8 @@ def test_groupconv_constants_per_group():
     for (kind, N), (d_h, e_h) in oracle.items():
         G, net = _all_regular_net(kind, N, (1, 1, 1), seed=16)
         gc = groupconv_bound(_inputs(net))
-        assert gc.D_H == d_h
-        assert gc.E_H == e_h
+        assert gc["D_H"] == d_h
+        assert gc["E_H"] == e_h
 
 
 def test_groupconv_q_h_hand_value():
@@ -729,7 +730,7 @@ def test_groupconv_q_h_hand_value():
     gc = groupconv_bound(_inputs(net))
     sqrt_cc = math.sqrt(1 * 2) + math.sqrt(2 * 2)
     expected = sqrt_cc**2 * 2.0 * math.log(2 * 3.0 * (1 + 2))
-    assert gc.Q_H == pytest.approx(expected, rel=1e-12)
+    assert gc["Q_H"] == pytest.approx(expected, rel=1e-12)
 
 
 def test_groupconv_rejects_non_regular_hidden():
@@ -831,6 +832,17 @@ def test_report_fields_populated(trained_report):
     )
 
 
+def test_report_is_built_whole_and_frozen(trained_report):
+    """Every field is given at construction, and none changes after it."""
+    net, report = trained_report
+    assert all(
+        f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING
+        for f in dataclasses.fields(BoundReport)
+    )
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        report.bound_alt = 0.0
+
+
 def test_report_csv_row_matches_header(trained_report):
     net, report = trained_report
     header = csv_header(net.depth)
@@ -874,7 +886,8 @@ def test_report_row_format_is_pinned():
         spectral_norms=(2.0, 1.5, 0.75), frobenius_norms=(3.0, 2.5, 1.0),
         fourier_frobenius_sums=(9.0, 6.25, 1.0), m_factors=(1 / 3, 40.0, 5.0),
         xi_m=1e-300, sigma0=2.5e-05, kl=1e10, bound_main=0.1 + 0.2,
-        bound_main_as_written=7.0,
+        bound_main_as_written=7.0, bound_groupconv=float("nan"),
+        bound_alt=float("nan"), D_H=float("nan"), E_H=float("nan"), Q_H=float("nan"),
     )
     assert report_to_csv_row(report) == [
         "dihedral", "4", "8", "3200", "10.0", "0.5", "0.05", "1.25",

@@ -20,7 +20,7 @@ from equibound import cli
 from equibound.cli import SweepConfig, _derive_seed, _parse_group, main, run_sweep
 from equibound.bounds import csv_header
 from equibound.datasets import input_rep_for, load_dataset
-from equibound.equivariant import TrainingDiverged, load_checkpoint
+from equibound.equivariant import TrainConfig, TrainingDiverged, load_checkpoint
 from equibound.irreps import rep_to_json
 
 
@@ -79,6 +79,18 @@ def test_derive_seed_is_stable_and_tag_sensitive():
     assert a != _derive_seed(1, "train")
     assert a != _derive_seed(0, "test")
     assert 0 <= a < 2**63
+
+
+def test_training_defaults_come_from_train_config():
+    """TrainConfig holds the one default of each training setting."""
+    sweep = SweepConfig()
+    assert (sweep.max_epochs, sweep.learning_rate, sweep.batch_size) == (
+        TrainConfig.max_epochs, TrainConfig.learning_rate, TrainConfig.batch_size
+    )
+    args = cli._build_parser().parse_args(["train", "--data", "d.json", "--group", "cyclic:4"])
+    assert (args.epochs, args.lr, args.batch) == (
+        TrainConfig.max_epochs, TrainConfig.learning_rate, TrainConfig.batch_size
+    )
 
 
 def test_config_hash_ignores_out_dir():
@@ -180,16 +192,12 @@ def test_bound_writes_csv_and_json(pipeline, capsys):
 
 
 def test_bound_as_written_headline(pipeline, capsys):
-    rc = main(
-        [
-            "bound",
-            "--model", pipeline["model"],
-            "--data", pipeline["train"],
-            "--as-written",
-        ]
-    )
+    """The headline prints both readings of the main bound."""
+    rc = main(["bound", "--model", pipeline["model"], "--data", pipeline["train"]])
     assert rc == 0
-    assert "bound_main_as_written=" in capsys.readouterr().out
+    printed = capsys.readouterr().out
+    assert "bound_main=" in printed
+    assert "bound_main_as_written=" in printed
 
 
 # --------------------------------------------------------------- exit codes
@@ -215,6 +223,26 @@ def test_bound_missing_file_exit_2(tmp_path):
         ]
     )
     assert rc == 2
+
+
+@pytest.mark.parametrize("case", ["model-is-dir", "out-dir-is-file"])
+def test_unusable_path_exit_2(pipeline, tmp_path, monkeypatch, capsys, case):
+    """A path that cannot be read or written exits 2 with a message, and a
+    sweep refuses its output directory before any cell trains."""
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("a cell trained before the output directory was made")
+
+    monkeypatch.setattr(cli, "train", no_training)
+    if case == "model-is-dir":
+        argv = ["bound", "--model", str(tmp_path), "--data", pipeline["train"]]
+    else:
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        argv = ["sweep", "--max-epochs", "1", "--m-grid", "96", "--seeds", "0",
+                "--test-m", "100", "--groups", "cyclic:1", "--out-dir", str(taken)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_bound_old_checkpoint_layout_exit_2(pipeline, tmp_path, capsys):

@@ -355,6 +355,24 @@ def _relabel_symmetry(data):
     data["spec"]["symmetry"] = "so3"
 
 
+def _delete(*keys):
+    def mutate(data):
+        entry = data
+        for key in keys[:-1]:
+            entry = entry[key]
+        del entry[keys[-1]]
+
+    return mutate
+
+
+def _samples_as_list(data):
+    data["samples"] = list(data["samples"].values())
+
+
+def _extra_frequency(data):
+    data["spec"]["frequencies"].append(3)
+
+
 def _empty(data):
     for field in ("X", "y", "rep_index", "angle", "reflect"):
         data["samples"][field] = []
@@ -386,12 +404,18 @@ def _set_original_y(values):
         (_set_original_y(lambda n: [0.5] + [1] * (n - 1)), "original_y labels must be 0 or 1"),
         (_relabel_symmetry, "unknown symmetry 'so3'"),
         (_empty, "need at least one sample"),
+        (_delete("samples"), r"data\.json: dataset lacks the key 'samples'$"),
+        (_delete("spec", "labels"), r"data\.json: dataset lacks the key 'labels' in \['spec'\]"),
+        (_delete("samples", "X"), r"data\.json: dataset lacks the key 'X' in \['samples'\]"),
+        (_samples_as_list, r"data\.json: dataset \['samples'\] is not a JSON object"),
+        (_extra_frequency, r"data\.json: 3 frequencies for D=2 units"),
     ],
     ids=[
         "short-y", "short-rep_index", "short-angle", "short-reflect",
         "nan-X", "inf-X", "label-2", "label-minus-1", "label-half", "small-B",
         "long-original_y", "original-label-7", "original-label-half", "unknown-symmetry",
-        "empty",
+        "empty", "no-samples", "no-spec-labels", "no-samples-X", "samples-list",
+        "frequencies-not-D",
     ],
 )
 def test_load_dataset_rejects_malformed_samples(tmp_path, mutate, message):

@@ -623,6 +623,21 @@ def test_labels_must_be_one_integer_per_row(labels):
         net.loss_and_grads(X, y)
 
 
+def test_input_width_must_match_input_rep():
+    """Training refuses rows of the wrong width with forward's message, before any pass."""
+    G, net = _small_net()
+    dim = net.input_rep.dim
+    X = np.zeros((4, dim + 1))
+    y = np.zeros(4, dtype=np.int64)
+    message = rf"input dimension {dim + 1} does not match rep dimension {dim}"
+    with pytest.raises(ValueError, match=message):
+        net.forward(X)
+    with pytest.raises(ValueError, match=message):
+        net.loss_and_grads(X, y)
+    with pytest.raises(ValueError, match=message):
+        train(net, X, y, TrainConfig(gamma=1.0, max_epochs=1))
+
+
 def test_margins_refuse_labels_out_of_range():
     """A negative label would index the last class."""
     G, net = _small_net()
