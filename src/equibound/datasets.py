@@ -364,45 +364,69 @@ def save_dataset(path: str, spec: DatasetSpec, samples: SampleSet) -> None:
     write_atomic(path, json.dumps(data))
 
 
+# The key paths `load_dataset` reads and the JSON type of each, checked
+# before it reads any (see `equivariant._check_keys`).  Labels may be
+# any numbers here: `load_dataset` refuses those other than 0 and 1.
+DATASET_KEYS = {
+    ("spec", "symmetry"): "a string",
+    ("spec", "D"): "an integer",
+    ("spec", "M"): "an integer or null",
+    ("spec", "frequencies"): "an array of integers",
+    ("spec", "representatives"): "an array of numbers",
+    ("spec", "labels"): "an array of integers",
+    ("spec", "noise_sigma_tangent"): "a number",
+    ("spec", "noise_sigma_ambient"): "a number",
+    ("spec", "seed"): "an integer",
+    ("samples", "X"): "an array of numbers",
+    ("samples", "y"): "an array of numbers",
+    ("samples", "B"): "a number",
+    ("samples", "rep_index"): "an array of integers",
+    ("samples", "angle"): "an array of numbers",
+    ("samples", "reflect"): "an array of integers",
+    ("samples", "seed"): "an integer",
+    ("samples", "augment"): "a string",
+    ("samples", "original_y"): "an array of numbers or null",
+}
+
+
 def load_dataset(path: str) -> tuple[DatasetSpec, SampleSet]:
     """Inverse of save_dataset.
 
-    Raises ValueError for a file that lacks a key save_dataset writes,
-    for a symmetry that is not a family of SYMMETRIES, for a number of
-    frequencies other than D, for a file with no samples, and when the
-    samples are inconsistent: per-sample arrays (original_y included,
-    when present) of different lengths, non-finite features, a label or
-    original label outside {0, 1}, or a B below the largest feature norm.
+    Raises ValueError for a file that lacks a key of DATASET_KEYS or
+    holds one with another JSON type, for a symmetry that is not a
+    family of SYMMETRIES, for a D below 1 or a number of frequencies
+    other than D, for representatives or features that do not fill
+    whole rows, for a file with no samples, and when the samples are
+    inconsistent: per-sample arrays (original_y included, when present)
+    of different lengths, non-finite features, a label or original
+    label outside {0, 1}, or a B below the largest feature norm.
     """
     with open(path) as f:
         data = json.load(f)
-    spec_keys = ("symmetry", "D", "M", "frequencies", "representatives", "labels",
-                 "noise_sigma_tangent", "noise_sigma_ambient", "seed")
-    sample_keys = ("X", "y", "B", "rep_index", "angle", "reflect", "seed", "augment",
-                   "original_y")
-    table = tuple(("spec", k) for k in spec_keys) + tuple(("samples", k) for k in sample_keys)
-    _check_keys(path, data, table, "dataset")
+    _check_keys(path, data, DATASET_KEYS, "dataset")
     s = data["spec"]
     if s["symmetry"] not in SYMMETRIES:
         raise ValueError(f"{path}: unknown symmetry {s['symmetry']!r}")
-    n_units = int(s["D"])
+    n_units = s["D"]
+    if n_units < 1:
+        raise ValueError(f"{path}: D={n_units}, need at least one unit")
     if len(s["frequencies"]) != n_units:
         raise ValueError(f"{path}: {len(s['frequencies'])} frequencies for D={n_units} units")
-    width = _unit_width(s["symmetry"])
-    reps = np.asarray(s["representatives"], dtype=np.float64).reshape(-1, n_units * width)
+    width = n_units * _unit_width(s["symmetry"])
+    reps = _rows(path, ("spec", "representatives"), s["representatives"], width)
     spec = DatasetSpec(
         symmetry=s["symmetry"],
         D=n_units,
-        M=None if s["M"] is None else int(s["M"]),
-        frequencies=tuple(int(f) for f in s["frequencies"]),
+        M=s["M"],
+        frequencies=tuple(s["frequencies"]),
         representatives=reps,
         labels=np.asarray(s["labels"], dtype=np.int64),
         noise_sigma_tangent=float(s["noise_sigma_tangent"]),
         noise_sigma_ambient=float(s["noise_sigma_ambient"]),
-        seed=int(s["seed"]),
+        seed=s["seed"],
     )
     d = data["samples"]
-    X = np.asarray(d["X"], dtype=np.float64).reshape(-1, spec.ambient_dim)
+    X = _rows(path, ("samples", "X"), d["X"], width)
     samples = SampleSet(
         X=X,
         y=_labels(path, "labels", d["y"]),
@@ -410,7 +434,7 @@ def load_dataset(path: str) -> tuple[DatasetSpec, SampleSet]:
         rep_index=np.asarray(d["rep_index"], dtype=np.int64),
         angle=np.asarray(d["angle"], dtype=np.float64),
         reflect=np.asarray(d["reflect"], dtype=np.int64),
-        seed=int(d["seed"]),
+        seed=d["seed"],
         augment=d["augment"],
         original_y=None
         if d["original_y"] is None
@@ -418,6 +442,16 @@ def load_dataset(path: str) -> tuple[DatasetSpec, SampleSet]:
     )
     _check_samples(path, samples)
     return spec, samples
+
+
+def _rows(path: str, keys: tuple[str, str], values: list, width: int) -> np.ndarray:
+    """A flat list of numbers as float rows of `width` entries each."""
+    if len(values) % width:
+        raise ValueError(
+            f"{path}: dataset key {keys[0]!r}[{keys[1]!r}] holds {len(values)} numbers, "
+            f"not rows of {width}"
+        )
+    return np.asarray(values, dtype=np.float64).reshape(-1, width)
 
 
 def _labels(path: str, name: str, values: list) -> np.ndarray:

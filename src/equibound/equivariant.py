@@ -347,6 +347,9 @@ class EquivariantNetwork:
                 A = np.maximum(Z, 0.0, out=Z)
             else:
                 A = Z
+        # From here on `inputs` and `masks` hold the only references to
+        # the saved inputs and masks; each is popped once it has been read.
+        del U
         loss, dZ = _cross_entropy(A, y)
         grads: list[dict[str, np.ndarray]] = []
         for l in range(last, -1, -1):
@@ -361,6 +364,7 @@ class EquivariantNetwork:
                     go.T @ inputs[l][:, b.in_cols], b.basis
                 )
                 back.append((b.in_cols, go, blocks[b.irrep_id]))
+            inputs.pop()
             grads.append(gdict)
             if l == 0:
                 break
@@ -369,7 +373,7 @@ class EquivariantNetwork:
                 dA = layer.in_rep.from_block(dA)
             else:
                 dA = dZ @ layer.matrix
-            dZ = np.multiply(dA, masks[l - 1], out=dA)
+            dZ = np.multiply(dA, masks.pop(), out=dA)
         grads.reverse()
         return loss, grads
 
@@ -688,16 +692,18 @@ def train(
             corr1 = 1.0 - ADAM_BETA1**step
             corr2 = 1.0 - ADAM_BETA2**step
             for l, layer in enumerate(net.layers):
-                for pid, g in grads[l].items():
+                for pid, coef in layer.coefficients.items():
                     _adam_update(
-                        layer.coefficients[pid],
-                        g,
+                        coef,
+                        grads[l][pid],
                         *state[(l, pid)],
                         cfg.learning_rate,
                         corr1,
                         corr2,
                     )
                 layer.mark_dirty()
+            # Applied: drop the gradients before the next step forms its own.
+            del grads
         if not all(
             np.isfinite(a).all() for layer in net.layers for a in layer.coefficients.values()
         ):
@@ -760,45 +766,104 @@ def write_atomic(path: str, text: str) -> None:
             os.unlink(tmp)
 
 
-# The key paths `load_checkpoint` reads, checked before it reads any.
-CHECKPOINT_KEYS = (
-    ("group", "kind"),
-    ("group", "N"),
-    ("architecture", "input_rep", "blocks"),
-    ("architecture", "input_rep", "Q"),
-    ("architecture", "hidden_channels"),
-    ("architecture", "n_classes"),
-    ("layers",),
-    ("metadata",),
-)
+def _is(*types):
+    return lambda v: type(v) in types
 
 
-def _check_keys(path: str, data, table: tuple[tuple[str, ...], ...], noun: str) -> None:
-    """Raise ValueError naming the file and the first key path of `table`
-    that `data` lacks, or the first one that is not a JSON object on the way.
+def _array_of(ok):
+    return lambda v: type(v) is list and all(map(ok, v))
 
-    `noun` names the kind of file in the message: "checkpoint", "dataset".
+
+def _flat_array_of(*types):
+    return lambda v: type(v) is list and set(map(type, v)) <= set(types)
+
+
+_NUMBERS = _flat_array_of(int, float)
+
+# The JSON types a key table of `_check_keys` may name, each with its
+# test of a value from `json.load` (whose types are exact: a JSON true
+# is a bool, not an int); the name is what an error message says.
+JSON_TYPES = {
+    "a JSON object": _is(dict),
+    "a JSON array": _is(list),
+    "a string": _is(str),
+    "an integer": _is(int),
+    "an integer or null": _is(int, type(None)),
+    "a number": _is(int, float),
+    "a number or null": _is(int, float, type(None)),
+    "an array of integers": _flat_array_of(int),
+    "an array of numbers": _NUMBERS,
+    "an array of numbers or null": lambda v: v is None or _NUMBERS(v),
+    "an array of arrays of arrays of numbers": _array_of(_array_of(_NUMBERS)),
+    '"identity" or an array of numbers': lambda v: v == "identity" or _NUMBERS(v),
+    "an array of [irrep id, multiplicity] pairs": _array_of(
+        lambda p: type(p) is list and len(p) == 2 and type(p[0]) is str and type(p[1]) is int
+    ),
+}
+
+# The key paths `load_checkpoint` reads and the JSON type of each,
+# checked before it reads any (see `_check_keys`).
+CHECKPOINT_KEYS = {
+    ("group", "kind"): "a string",
+    ("group", "N"): "an integer",
+    ("architecture", "input_rep", "blocks"): "an array of [irrep id, multiplicity] pairs",
+    ("architecture", "input_rep", "Q"): '"identity" or an array of numbers',
+    ("architecture", "hidden_channels"): "an array of integers",
+    ("architecture", "n_classes"): "an integer",
+    ("layers",): "a JSON array",
+    ("layers", "*"): "a JSON object",
+    ("layers", "*", "*"): "an array of arrays of arrays of numbers",
+    ("metadata",): "a JSON object",
+    ("metadata", "gamma?"): "a number or null",
+}
+
+
+def _check_keys(path: str, data, table: dict[tuple[str, ...], str], noun: str) -> None:
+    """Raise ValueError naming the file and the key path of the first
+    entry of `table` that `data` lacks or holds with another JSON type.
+
+    `table` maps key paths to names of JSON_TYPES, in the order they are
+    checked.  A "*" stands for every key of an object, or entry of an
+    array, present there; a key ending in "?" may be absent.  `noun`
+    names the kind of file in the message: "checkpoint", "dataset".
     """
-    for keys in table:
-        entry = data
-        for depth, key in enumerate(keys):
-            where = "".join(f"[{k!r}]" for k in keys[:depth])
-            if not isinstance(entry, dict):
-                raise ValueError(f"{path}: {noun} {where or 'file'} is not a JSON object")
-            if key not in entry:
-                raise ValueError(
-                    f"{path}: {noun} lacks the key {key!r}" + (f" in {where}" if where else "")
+
+    def walk(entry, keys: tuple[str, ...], seen: tuple, kind: str) -> None:
+        if not keys:
+            if not JSON_TYPES[kind](entry):
+                where = "".join(
+                    f" entry {k}" if isinstance(k, int) else f"[{k!r}]" for k in seen[1:]
                 )
-            entry = entry[key]
+                raise ValueError(f"{path}: {noun} key {seen[0]!r}{where} is not {kind}")
+            return
+        key, rest = keys[0], keys[1:]
+        if key == "*":
+            for k in range(len(entry)) if isinstance(entry, list) else entry:
+                walk(entry[k], rest, seen + (k,), kind)
+            return
+        where = "".join(f"[{k!r}]" for k in seen)
+        if not isinstance(entry, dict):
+            raise ValueError(f"{path}: {noun} {where or 'file'} is not a JSON object")
+        name = key.removesuffix("?")
+        if name in entry:
+            walk(entry[name], rest, seen + (name,), kind)
+        elif name == key:
+            raise ValueError(
+                f"{path}: {noun} lacks the key {name!r}" + (f" in {where}" if where else "")
+            )
+
+    for keys, kind in table.items():
+        walk(data, keys, (), kind)
 
 
 def load_checkpoint(path: str) -> tuple[EquivariantNetwork, dict]:
     """Rebuild a checkpointed network with bit-identical forward outputs.
 
     Raises ValueError for a file of another schema version, one that
-    lacks a key of CHECKPOINT_KEYS, one whose `layers` is not a list of
-    JSON objects or whose `metadata` is not one, or one whose layers do
-    not match the architecture it records.
+    lacks a key of CHECKPOINT_KEYS or holds one with another JSON type,
+    one whose input basis is not a square orthogonal matrix of the
+    rep's dimension, or one whose layers do not match the architecture
+    it records.
     """
     with open(path) as f:
         data = json.load(f)
@@ -809,33 +874,27 @@ def load_checkpoint(path: str) -> tuple[EquivariantNetwork, dict]:
             f"(expected {CHECKPOINT_SCHEMA})"
         )
     _check_keys(path, data, CHECKPOINT_KEYS, "checkpoint")
-    entries = data["layers"]
-    if not isinstance(entries, list):
-        raise ValueError(f"{path}: checkpoint key 'layers' is not a JSON array")
-    if not isinstance(data["metadata"], dict):
-        raise ValueError(f"{path}: checkpoint key 'metadata' is not a JSON object")
     G = group_from_json(data["group"])
     arch = data["architecture"]
-    input_rep = rep_from_json(G, arch["input_rep"])
-    net = build_network(
-        G,
-        input_rep,
-        [int(c) for c in arch["hidden_channels"]],
-        int(arch["n_classes"]),
-        seed=0,
-    )
+    try:
+        input_rep = rep_from_json(G, arch["input_rep"])
+    except ValueError as exc:
+        raise ValueError(f"{path}: checkpoint key 'architecture'['input_rep']: {exc}") from None
+    net = build_network(G, input_rep, arch["hidden_channels"], arch["n_classes"], seed=0)
+    entries = data["layers"]
     if len(entries) != len(net.layers):
         raise ValueError(
             f"{path}: {len(entries)} layers in checkpoint, "
             f"the architecture has {len(net.layers)}"
         )
     for l, (layer, entry) in enumerate(zip(net.layers, entries)):
-        if not isinstance(entry, dict):
-            raise ValueError(f"{path}: checkpoint key 'layers' entry {l} is not a JSON object")
         if set(entry) != set(layer.coefficients):
             raise ValueError(
                 f"{path}: layer {l} holds irreps {sorted(entry)}, "
                 f"expected {sorted(layer.coefficients)}"
             )
-        layer.set_coefficients(entry)
+        try:
+            layer.set_coefficients(entry)
+        except ValueError as exc:
+            raise ValueError(f"{path}: checkpoint key 'layers' entry {l}: {exc}") from None
     return net, data["metadata"]

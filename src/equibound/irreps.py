@@ -686,15 +686,18 @@ JSON_ORTHOGONALITY_TOL = 1e-10
 def rep_from_json(G: FiniteGroup, data: dict) -> RepSpec:
     """Rebuild a single-channel rep from its serialized form.
 
-    Raises ValueError when Q is not orthogonal to within
-    JSON_ORTHOGONALITY_TOL: every layer assumes Q^T = Q^{-1}, so such a
-    basis would silently give another network.
+    Raises ValueError when Q is not a flat list of dim x dim entries, or
+    not orthogonal to within JSON_ORTHOGONALITY_TOL: every layer assumes
+    Q^T = Q^{-1}, so such a basis would silently give another network.
     """
     blocks = tuple((str(pid), int(mult)) for pid, mult in data["blocks"])
     dim = sum(irrep_by_id(G, pid).dim * mult for pid, mult in blocks)
     if data["Q"] == "identity":
         return RepSpec(group=G, blocks=blocks, base_Q=_freeze(np.eye(dim)))
-    Q = np.asarray(data["Q"], dtype=np.float64).reshape(dim, dim)
+    Q = np.asarray(data["Q"], dtype=np.float64)
+    if Q.shape != (dim * dim,):
+        raise ValueError(f"rep basis Q holds {Q.size} entries, not {dim}x{dim}")
+    Q = Q.reshape(dim, dim)
     rep = RepSpec(group=G, blocks=blocks, base_Q=_freeze(Q))
     err = rep_violation(rep)
     if not err <= JSON_ORTHOGONALITY_TOL:

@@ -127,6 +127,20 @@ def test_spectral_norm_group_circulant_oracle():
     assert spectral_norm(W) == pytest.approx(10.0, abs=1e-10)
 
 
+def test_spectral_norm_falls_back_to_gram_when_iteration_stalls():
+    """Top singular values 1 and sqrt(1 - 1e-5) keep power iteration past
+    its step cap; the short-side Gram matrix gives the exact value."""
+    W = np.zeros((65, 4097))
+    W[np.arange(65), np.arange(65)] = 0.5
+    W[0, 0], W[1, 1] = 1.0, math.sqrt(1.0 - 1e-5)
+    assert abs(spectral_norm(W) - 1.0) <= 1e-15
+
+
+@pytest.mark.parametrize("shape", [(5, 9), (70, 66)], ids=["gram", "iteration"])
+def test_spectral_norm_of_zero_matrix(shape):
+    assert spectral_norm(np.zeros(shape)) == 0.0
+
+
 def test_spectral_norm_rejects_non_finite():
     with pytest.raises(ValueError):
         spectral_norm(np.array([[1.0, np.inf], [0.0, 1.0]]))

@@ -355,6 +355,79 @@ def test_bound_checkpoint_wrong_json_type_exit_2(pipeline, tmp_path, capsys, whe
     assert capsys.readouterr().err.startswith(f"error: {bad}: checkpoint key {message}")
 
 
+def _first_coefficients_of_layer_1(data, value):
+    layer = data["layers"][1]
+    layer[next(iter(layer))] = value
+
+
+@pytest.mark.parametrize(
+    "mutate, message",
+    [
+        (lambda d: d["architecture"].update(hidden_channels="ab"),
+         "checkpoint key 'architecture'['hidden_channels'] is not an array of integers"),
+        (lambda d: d["architecture"].update(n_classes="two"),
+         "checkpoint key 'architecture'['n_classes'] is not an integer"),
+        (lambda d: _first_coefficients_of_layer_1(d, "abc"),
+         "checkpoint key 'layers' entry 1['"),
+        (lambda d: d["architecture"]["input_rep"].update(Q=d["architecture"]["input_rep"]["Q"][:2]),
+         "checkpoint key 'architecture'['input_rep']: rep basis Q holds 2 entries, not 8x8"),
+        (lambda d: d["metadata"].update(gamma="x"),
+         "checkpoint key 'metadata'['gamma'] is not a number or null"),
+    ],
+    ids=["hidden_channels", "n_classes", "coefficients", "Q-length", "gamma"],
+)
+def test_bound_checkpoint_value_of_wrong_type_exit_2(pipeline, tmp_path, capsys, mutate, message):
+    """A checkpoint value of the wrong JSON type or size is refused with
+    the file and its key path named."""
+    with open(pipeline["model"]) as f:
+        data = json.load(f)
+    mutate(data)
+    bad = tmp_path / "mistyped.json"
+    bad.write_text(json.dumps(data))
+    with pytest.raises(ValueError, match=re.escape(f"{bad}: {message}")):
+        load_checkpoint(str(bad))
+    rc = main(["bound", "--model", str(bad), "--data", pipeline["train"]])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(f"error: {bad}: {message}")
+
+
+@pytest.mark.parametrize(
+    "mutate, message",
+    [
+        (lambda d: d["spec"].update(frequencies=3),
+         "dataset key 'spec'['frequencies'] is not an array of integers"),
+        (lambda d: d["samples"].update(X="abc"),
+         "dataset key 'samples'['X'] is not an array of numbers"),
+        (lambda d: d["spec"].update(D="three"),
+         "dataset key 'spec'['D'] is not an integer"),
+        (lambda d: d["samples"].update(B=[1.0]),
+         "dataset key 'samples'['B'] is not a number"),
+        (lambda d: d["spec"].update(representatives=[d["spec"]["representatives"][:3], [1.0]]),
+         "dataset key 'spec'['representatives'] is not an array of numbers"),
+        (lambda d: d["spec"].update(representatives=d["spec"]["representatives"][:-1]),
+         "dataset key 'spec'['representatives'] holds 63 numbers, not rows of 8"),
+        (lambda d: d["samples"].update(X=d["samples"]["X"][:-1]),
+         "dataset key 'samples'['X'] holds 1535 numbers, not rows of 8"),
+        (lambda d: d["spec"].update(D=0, frequencies=[]), "D=0, need at least one unit"),
+    ],
+    ids=["frequencies", "X", "D", "B", "ragged-representatives", "short-representatives",
+         "short-X", "no-units"],
+)
+def test_train_dataset_value_of_wrong_type_exit_2(pipeline, tmp_path, capsys, mutate, message):
+    """A dataset value of the wrong JSON type or size is refused with the
+    file and its key path named, before any network is built."""
+    with open(pipeline["train"]) as f:
+        data = json.load(f)
+    mutate(data)
+    bad = tmp_path / "mistyped.json"
+    bad.write_text(json.dumps(data))
+    with pytest.raises(ValueError, match=re.escape(f"{bad}: {message}")):
+        load_dataset(str(bad))
+    rc = main(["train", "--data", str(bad), "--group", "cyclic:4", "--widths", "8"])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(f"error: {bad}: {message}")
+
+
 def test_bound_non_orthogonal_input_basis_exit_2(pipeline, tmp_path, capsys):
     """A checkpoint whose input basis was scaled by 2 is refused, not misread."""
     with open(pipeline["model"]) as f:

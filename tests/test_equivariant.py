@@ -1,6 +1,7 @@
 """Layer/network equivariance, gradients, training, and checkpoints."""
 
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -219,6 +220,43 @@ def test_gradients_match_finite_differences():
                     fd = (lp - lm) / (2 * step)
                     an = grads[l][pid].reshape(-1)[idx]
                     assert abs(fd - an) <= 1e-4 * max(abs(fd), abs(an), 1e-6)
+
+
+@pytest.mark.parametrize("kind,N,channels", [("cyclic", 1, (6, 4)), ("cyclic", 8, (32, 32))])
+def test_backward_pass_drops_each_layers_saved_input(kind, N, channels, monkeypatch):
+    """Once the backward pass moves below a layer, nothing references the
+    input that layer saved: its batch rows in block coordinates, which
+    are the rows it was applied to on C1 and its `apply` U on the block
+    route (the C8 32x32 hidden layer)."""
+    G, net = _small_net(kind, N, channels)
+    saved = {}
+    for l, layer in enumerate(net.layers):
+
+        def apply(A, l=l, layer=layer, original=layer.apply):
+            U, Z = original(A)
+            if U is not None:
+                saved[l] = weakref.ref(U)
+            elif layer.in_rep.is_identity:
+                saved[l] = weakref.ref(A)
+            return U, Z
+
+        monkeypatch.setattr(layer, "apply", apply)
+    # project_coefficients runs once per shared irrep, last layer first.
+    order = [l for l in reversed(range(net.depth)) for _ in net.layers[l].shared]
+    alive_above = []
+    project = equivariant.project_coefficients
+
+    def watched(product, basis):
+        l = order[len(alive_above)]
+        alive_above.append([k for k, ref in saved.items() if k > l and ref() is not None])
+        return project(product, basis)
+
+    monkeypatch.setattr(equivariant, "project_coefficients", watched)
+    rng = np.random.default_rng(5)
+    X = rng.standard_normal((16, net.input_rep.dim))
+    net.loss_and_grads(X, rng.integers(0, 2, 16))
+    assert set(saved) - {0}
+    assert alive_above == [[]] * len(order)
 
 
 def test_build_network_seed_determinism():
@@ -520,6 +558,29 @@ def test_train_is_deterministic():
             pass
         outs.append(net.forward(X))
     np.testing.assert_array_equal(outs[0], outs[1])
+
+
+def test_train_drops_each_steps_gradients_before_the_next(monkeypatch):
+    """No gradient array of step k is alive when step k+1's
+    loss_and_grads starts, within an epoch or across one."""
+    G, net = _small_net("cyclic", 4, (3, 2))
+    X, y = _toy_problem()
+    previous = []
+    alive = []
+    original = net.loss_and_grads
+
+    def watched(Xb, yb):
+        alive.append(sum(ref() is not None for ref in previous))
+        previous.clear()
+        loss, grads = original(Xb, yb)
+        previous.extend(weakref.ref(g) for gdict in grads for g in gdict.values())
+        return loss, grads
+
+    monkeypatch.setattr(net, "loss_and_grads", watched)
+    cfg = TrainConfig(gamma=1e6, max_epochs=2, learning_rate=0.01, batch_size=32, seed=0)
+    with pytest.raises(MarginNotReached):
+        train(net, X, y, cfg)
+    assert alive == [0] * 8
 
 
 def test_train_config_validation():
