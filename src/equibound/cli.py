@@ -56,6 +56,7 @@ from .equivariant import (
     MarginNotReached,
     TrainConfig,
     TrainingDiverged,
+    _check_keys,
     build_network,
     channels_for_width,
     empirical_margin_loss,
@@ -164,7 +165,19 @@ def _build_net(input_rep, widths: list[int], seed: int):
     return build_network(G, input_rep, channels, 2, seed=seed)
 
 
+def _check_file_path(flag: str, path: str) -> None:
+    """Raise ValueError when `path` cannot be written as a file: it is a
+    directory, or its directory does not exist."""
+    if os.path.isdir(path):
+        raise ValueError(f"{flag} {path}: is a directory")
+    parent = os.path.dirname(path) or "."
+    if not os.path.isdir(parent):
+        raise ValueError(f"{flag} {path}: no directory {parent}")
+
+
 def _cmd_train(args: argparse.Namespace) -> int:
+    if args.out:
+        _check_file_path("--out", args.out)
     cfg = TrainConfig(
         gamma=args.gamma,
         max_epochs=args.epochs,
@@ -402,12 +415,40 @@ class SweepConfig:
         ).hexdigest()[:12]
 
 
+# The JSON type of a `--config` value, by the type hint of its
+# SweepConfig field (names of `equivariant.JSON_TYPES`).
+_CONFIG_TYPES = {
+    str: "a string",
+    int: "an integer",
+    float: "a number",
+    bool: "a boolean",
+    list[int]: "an array of integers",
+    list[tuple[str, int]]: 'an array of [kind, N] pairs or "kind:N" strings',
+}
+
+
 def _load_sweep_config(args: argparse.Namespace) -> SweepConfig:
-    """The JSON config of `--config`, with every flag given applied over it."""
+    """The JSON config of `--config`, with every flag given applied over it.
+
+    Raises ValueError naming the file and the key for a key that is not
+    a SweepConfig field or a value of another JSON type than its field's
+    (a group may be written as `--groups` text, "cyclic:8").
+    """
     data = {}
     if args.config:
         with open(args.config) as f:
             data = json.load(f)
+        hints = typing.get_type_hints(SweepConfig)
+        table = {(name + "?",): _CONFIG_TYPES[hint] for name, hint in hints.items()}
+        _check_keys(args.config, data, table, "sweep config")
+        for key in data:
+            if key not in hints:
+                raise ValueError(f"{args.config}: sweep config key {key!r} is not a setting")
+        if "groups" in data:
+            try:
+                data["groups"] = [_parse_group(g) if type(g) is str else g for g in data["groups"]]
+            except ValueError as exc:
+                raise ValueError(f"{args.config}: sweep config key 'groups': {exc}") from None
     cfg = SweepConfig(**data)
     for f in fields(SweepConfig):
         value = getattr(args, f.name)

@@ -22,9 +22,11 @@ the block route makes: a regular-to-regular layer over H keeps about
 1/|H| of W's entries.  Otherwise it is applied through W: the thin
 data-input and logit layers, whose W folds a basis change into a
 narrow matrix, and C1 layers, whose W is their one superblock, a view
-of the coefficients.  Gradients are formed in block coordinates on
-both routes.  `forward` runs many rows in blocks of EVAL_ROWS, so the
-block route's copy in block coordinates never grows with the set.
+of the coefficients.  A layer's `backward` takes back what its `apply`
+saved and forms the gradients in block coordinates on both routes; the
+network runs `forward` and `loss_and_grads` through one loop over its
+layers.  `forward` runs many rows in blocks of EVAL_ROWS, so the block
+route's copy in block coordinates never grows with the set.
 
 `train` runs Adam in place: each coefficient array and its two moments
 are updated by a fixed sequence of `out=` ufuncs, over chunks of
@@ -53,6 +55,7 @@ records.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import itertools
 import json
@@ -108,20 +111,6 @@ BASIS_CHANGE_COST = 50
 _VERSIONS = itertools.count()
 
 
-def _products(
-    rows: int, dim: int, parts: list[tuple[slice, np.ndarray, np.ndarray]]
-) -> np.ndarray:
-    """A (rows, dim) array holding a @ b in the columns of each (columns, a, b).
-
-    Columns that no part covers are zero.
-    """
-    covered = sum(cols.stop - cols.start for cols, _, _ in parts)
-    out = np.empty((rows, dim)) if covered == dim else np.zeros((rows, dim))
-    for cols, a, b in parts:
-        np.matmul(a, b, out=out[:, cols])
-    return out
-
-
 class EquivariantLayer:
     """A linear map constrained to commute with the group action.
 
@@ -133,15 +122,15 @@ class EquivariantLayer:
     renews `version`, which names the weight state in the network's
     margins memo (see `margins`).
 
-    `blockwise` selects how `apply` computes A W^T: through the
-    superblocks, or through the dense matrix; either route gives the
-    same values.  It is read from the reps alone: per row, the
+    `blockwise` selects how `apply` computes A W^T, and `backward` dZ W:
+    through the superblocks, or through the dense matrix; either route
+    gives the same values.  It is read from the reps alone: per row, the
     superblocks skip 2 (n_in n_out - P) multiply-adds (forward and
     backward; P is the superblocks' total size), and the block route is
     taken when that is more than BASIS_CHANGE_COST times the entries of
     the one extra basis change per side that it makes (a side whose
-    basis is the identity costs nothing).  Both routes change the batch
-    into block coordinates for the gradients.  So a C1 layer, whose one
+    basis is the identity costs nothing).  On both routes `backward`
+    forms the gradients in block coordinates.  So a C1 layer, whose one
     superblock is all of W, stays dense, and so do thin layers, whose W
     folds a basis change.
     """
@@ -227,22 +216,52 @@ class EquivariantLayer:
             self._matrix = self.out_rep.from_block(T.T).T
         return self._matrix
 
-    def apply(self, A: np.ndarray) -> tuple[np.ndarray | None, np.ndarray]:
-        """Apply the layer to batch rows A; returns (U, A W^T).
+    def apply(self, A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Apply the layer to batch rows A; returns (saved, A W^T).
 
-        On the block route U is A in the input's block coordinates, which
-        the backward pass reuses; on the dense route it is None.
+        `saved` is what `backward` reads: A in the input's block
+        coordinates on the block route, A itself on the dense route.
         """
         if not self.blockwise:
-            return None, A @ self.matrix.T
+            return A, A @ self.matrix.T
         U = self.in_rep.to_block(A)
-        blocks = self.superblocks()
-        Z = _products(
-            A.shape[0],
-            self.out_rep.dim,
-            [(b.out_cols, U[:, b.in_cols], blocks[b.irrep_id].T) for b in self.shared],
-        )
-        return U, self.out_rep.from_block(Z)
+        return U, self.out_rep.from_block(self._superblock_products(U))
+
+    def backward(
+        self, saved: np.ndarray, dZ: np.ndarray, input_grad: bool = True
+    ) -> tuple[dict[str, np.ndarray], np.ndarray | None]:
+        """The coefficient gradients and dZ W (None unless `input_grad`),
+        from `apply`'s `saved` and the output gradient dZ.
+
+        Each superblock's gradient is dZ^T times the input, both in block
+        coordinates, projected onto its intertwiner basis.  dZ W goes back
+        the way the layer was applied, after the input is dropped.
+        """
+        U = saved if self.blockwise else self.in_rep.to_block(saved)
+        del saved
+        gout = self.out_rep.to_block(dZ)
+        grads = {
+            b.irrep_id: project_coefficients(gout[:, b.out_cols].T @ U[:, b.in_cols], b.basis)
+            for b in self.shared
+        }
+        del U
+        if not input_grad:
+            return grads, None
+        if not self.blockwise:
+            return grads, dZ @ self.matrix
+        return grads, self.in_rep.from_block(self._superblock_products(gout, back=True))
+
+    def _superblock_products(self, V: np.ndarray, back: bool = False) -> np.ndarray:
+        """Block-coordinate rows V through the superblocks: V S^T into the
+        output's block coordinates, or V S into the input's when `back`
+        (S is `block_matrix()`); columns that no superblock reaches are zero."""
+        rep = self.in_rep if back else self.out_rep
+        cols = [(b.out_cols, b.in_cols) if back else (b.in_cols, b.out_cols) for b in self.shared]
+        covered = sum(dst.stop - dst.start for _, dst in cols)
+        out = (np.empty if covered == rep.dim else np.zeros)((V.shape[0], rep.dim))
+        for (src, dst), S in zip(cols, self.superblocks().values()):
+            np.matmul(V[:, src], S if back else S.T, out=out[:, dst])
+        return out
 
     def __repr__(self) -> str:
         return (
@@ -298,14 +317,26 @@ class EquivariantNetwork:
             return self.forward(X[None, :])[0]
         self._check_width(X)
         out = np.empty((X.shape[0], self.n_classes))
-        last = len(self.layers) - 1
         for start in range(0, X.shape[0], EVAL_ROWS):
-            A = X[start : start + EVAL_ROWS]
-            for l, layer in enumerate(self.layers):
-                _, Z = layer.apply(A)
-                A = Z if l == last else np.maximum(Z, 0.0, out=Z)
-            out[start : start + EVAL_ROWS] = A
+            out[start : start + EVAL_ROWS] = self._run(X[start : start + EVAL_ROWS])
         return out
+
+    def _run(self, A: np.ndarray, saved=None, masks=None) -> np.ndarray:
+        """The logits of rows A, through the layers and the ReLU between.
+        Lists `saved` and `masks`, if given, receive each layer's `saved`
+        (see EquivariantLayer.apply) and each hidden layer's ReLU mask;
+        otherwise no layer's input outlives its `apply`."""
+        last = len(self.layers) - 1
+        for l, layer in enumerate(self.layers):
+            kept, A = layer.apply(A)
+            if saved is not None:
+                saved.append(kept)
+                if l < last:
+                    masks.append(A > 0.0)
+            del kept
+            if l < last:
+                np.maximum(A, 0.0, out=A)
+        return A
 
     def _check_width(self, X: np.ndarray) -> None:
         """Raise ValueError unless the rows of X have the input rep's dimension."""
@@ -320,11 +351,8 @@ class EquivariantNetwork:
     ) -> tuple[float, list[dict[str, np.ndarray]]]:
         """Mean cross-entropy and its gradient per coefficient array.
 
-        Each irrep's superblock gradient is the product of the output
-        gradient and the layer input, both in block coordinates,
-        projected onto the intertwiner basis into the (m_out, m_in, c)
-        layout of the coefficients.  The input gradient goes back the
-        way the layer was applied: through the superblocks, or through W.
+        One forward pass saves each layer's input and ReLU mask; the
+        backward pass runs the layers' `backward` in reverse.
         Raises ValueError for an empty or non-2D batch, one whose width is
         not the input rep's dimension, or unless y holds one in-range
         integer label per row of X.
@@ -335,45 +363,17 @@ class EquivariantNetwork:
             raise ValueError("need a nonempty 2D batch")
         self._check_width(X)
         _check_labels(X, y, self.n_classes)
-        last = len(self.layers) - 1
-        inputs: list[np.ndarray] = []
+        saved: list[np.ndarray] = []
         masks: list[np.ndarray] = []
-        A = X
-        for l, layer in enumerate(self.layers):
-            U, Z = layer.apply(A)
-            inputs.append(layer.in_rep.to_block(A) if U is None else U)
-            if l < last:
-                masks.append(Z > 0.0)
-                A = np.maximum(Z, 0.0, out=Z)
-            else:
-                A = Z
-        # From here on `inputs` and `masks` hold the only references to
-        # the saved inputs and masks; each is popped once it has been read.
-        del U
-        loss, dZ = _cross_entropy(A, y)
+        loss, dZ = _cross_entropy(self._run(X, saved, masks), y)
+        # The lists hold the only references to their entries, each popped
+        # as it is read: `backward` frees a saved input once it is used.
         grads: list[dict[str, np.ndarray]] = []
-        for l in range(last, -1, -1):
-            layer = self.layers[l]
-            gout = layer.out_rep.to_block(dZ)
-            blocks = layer.superblocks()
-            gdict = {}
-            back = []
-            for b in layer.shared:
-                go = gout[:, b.out_cols]
-                gdict[b.irrep_id] = project_coefficients(
-                    go.T @ inputs[l][:, b.in_cols], b.basis
-                )
-                back.append((b.in_cols, go, blocks[b.irrep_id]))
-            inputs.pop()
+        for l in range(len(self.layers) - 1, -1, -1):
+            gdict, dA = self.layers[l].backward(saved.pop(), dZ, input_grad=l > 0)
             grads.append(gdict)
-            if l == 0:
-                break
-            if layer.blockwise:
-                dA = _products(dZ.shape[0], layer.in_rep.dim, back)
-                dA = layer.in_rep.from_block(dA)
-            else:
-                dA = dZ @ layer.matrix
-            dZ = np.multiply(dA, masks.pop(), out=dA)
+            if dA is not None:
+                dZ = np.multiply(dA, masks.pop(), out=dA)
         grads.reverse()
         return loss, grads
 
@@ -419,11 +419,11 @@ def build_network(
     1 over the layer input dimension.
     """
     if len(hidden_channels) == 0:
-        raise ValueError("need at least one hidden layer")
+        raise ValueError("hidden_channels is empty: need at least one hidden layer")
     if any(c < 1 for c in hidden_channels):
-        raise ValueError("channel counts must be >= 1")
+        raise ValueError(f"hidden_channels must all be >= 1, got {list(hidden_channels)}")
     if n_classes < 2:
-        raise ValueError("need at least two classes")
+        raise ValueError(f"n_classes must be at least 2, got {n_classes}")
     reg = regular_representation(G)
     reps = [input_rep]
     reps += [stack_rep(reg, int(c)) for c in hidden_channels]
@@ -780,6 +780,12 @@ def _flat_array_of(*types):
 
 _NUMBERS = _flat_array_of(int, float)
 
+
+def _pair(v) -> bool:
+    """A JSON [string, integer] pair."""
+    return type(v) is list and len(v) == 2 and type(v[0]) is str and type(v[1]) is int
+
+
 # The JSON types a key table of `_check_keys` may name, each with its
 # test of a value from `json.load` (whose types are exact: a JSON true
 # is a bool, not an int); the name is what an error message says.
@@ -787,6 +793,7 @@ JSON_TYPES = {
     "a JSON object": _is(dict),
     "a JSON array": _is(list),
     "a string": _is(str),
+    "a boolean": _is(bool),
     "an integer": _is(int),
     "an integer or null": _is(int, type(None)),
     "a number": _is(int, float),
@@ -796,8 +803,9 @@ JSON_TYPES = {
     "an array of numbers or null": lambda v: v is None or _NUMBERS(v),
     "an array of arrays of arrays of numbers": _array_of(_array_of(_NUMBERS)),
     '"identity" or an array of numbers': lambda v: v == "identity" or _NUMBERS(v),
-    "an array of [irrep id, multiplicity] pairs": _array_of(
-        lambda p: type(p) is list and len(p) == 2 and type(p[0]) is str and type(p[1]) is int
+    "an array of [irrep id, multiplicity] pairs": _array_of(_pair),
+    'an array of [kind, N] pairs or "kind:N" strings': _array_of(
+        lambda v: type(v) is str or _pair(v)
     ),
 }
 
@@ -861,9 +869,11 @@ def load_checkpoint(path: str) -> tuple[EquivariantNetwork, dict]:
 
     Raises ValueError for a file of another schema version, one that
     lacks a key of CHECKPOINT_KEYS or holds one with another JSON type,
-    one whose input basis is not a square orthogonal matrix of the
-    rep's dimension, or one whose layers do not match the architecture
-    it records.
+    one whose group, input rep or architecture cannot be built (an
+    unknown group kind or irrep, an input basis that is not a square
+    orthogonal matrix of the rep's dimension, a channel count below 1,
+    fewer than two classes), or one whose layers do not match the
+    architecture it records; the message names the file and the key.
     """
     with open(path) as f:
         data = json.load(f)
@@ -874,13 +884,13 @@ def load_checkpoint(path: str) -> tuple[EquivariantNetwork, dict]:
             f"(expected {CHECKPOINT_SCHEMA})"
         )
     _check_keys(path, data, CHECKPOINT_KEYS, "checkpoint")
-    G = group_from_json(data["group"])
+    with _naming(path, "'group'"):
+        G = group_from_json(data["group"])
     arch = data["architecture"]
-    try:
+    with _naming(path, "'architecture'['input_rep']"):
         input_rep = rep_from_json(G, arch["input_rep"])
-    except ValueError as exc:
-        raise ValueError(f"{path}: checkpoint key 'architecture'['input_rep']: {exc}") from None
-    net = build_network(G, input_rep, arch["hidden_channels"], arch["n_classes"], seed=0)
+    with _naming(path, "'architecture'"):
+        net = build_network(G, input_rep, arch["hidden_channels"], arch["n_classes"], seed=0)
     entries = data["layers"]
     if len(entries) != len(net.layers):
         raise ValueError(
@@ -893,8 +903,16 @@ def load_checkpoint(path: str) -> tuple[EquivariantNetwork, dict]:
                 f"{path}: layer {l} holds irreps {sorted(entry)}, "
                 f"expected {sorted(layer.coefficients)}"
             )
-        try:
+        with _naming(path, f"'layers' entry {l}"):
             layer.set_coefficients(entry)
-        except ValueError as exc:
-            raise ValueError(f"{path}: checkpoint key 'layers' entry {l}: {exc}") from None
     return net, data["metadata"]
+
+
+@contextlib.contextmanager
+def _naming(path: str, key: str):
+    """Re-raise a ValueError or KeyError of the block as a ValueError that
+    names the checkpoint file and the key its value was read from."""
+    try:
+        yield
+    except (ValueError, KeyError) as exc:
+        raise ValueError(f"{path}: checkpoint key {key}: {exc.args[0]}") from None

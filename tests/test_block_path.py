@@ -2,10 +2,11 @@
 
 `forward`, `loss_and_grads` and `margins` apply a layer with
 `blockwise` set through its per-irrep superblocks, and any other layer
-through the dense W = Q_out S Q_in^T of `EquivariantLayer.matrix`.
-Over random groups, input reps, widths and routes both must agree with
-a dense reference, and training and evaluation must never build W of a
-layer on the block route.  The routes that the cost rule picks are
+through the dense W = Q_out S Q_in^T of `EquivariantLayer.matrix`; a
+layer's `backward` goes back the same way.  Over random groups, input
+reps, widths and routes both must agree with a dense reference, and
+training and evaluation must never build W of a layer on the block
+route.  The routes that the cost rule picks are
 pinned for the benchmark workloads' networks, and `forward` must run
 many rows in blocks of EVAL_ROWS, with a peak memory that does not grow
 with their number.
@@ -193,6 +194,43 @@ def test_gradients_match_dense_backprop(case, rows):
         assert got.keys() == want.keys()
         for pid in want:
             np.testing.assert_allclose(got[pid], want[pid], rtol=0, atol=TOL)
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("the first layer's backward formed an input gradient")
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(networks(), st.integers(1, 40))
+def test_layer_backward_matches_dense_reference(case, rows):
+    """On either route, a layer's `backward` gives the projected blocks of
+    dZ^T A in block coordinates and dZ W; with `input_grad` false (the
+    first layer) it gives the same gradients and forms no dZ W."""
+    net, seed = case
+    rng = np.random.default_rng(seed)
+    for layer in net.layers:
+        A = rng.standard_normal((rows, layer.in_rep.dim))
+        dZ = rng.standard_normal((rows, layer.out_rep.dim)) / rows
+        # Q_out^T (dZ^T A) Q_in; `to_block` maps rows X to X Q.
+        S = layer.out_rep.to_block(layer.in_rep.to_block(dZ.T @ A).T).T
+        want = {
+            b.irrep_id: project_coefficients(S[b.out_cols, b.in_cols], b.basis)
+            for b in layer.shared
+        }
+        for blockwise in (False, True):
+            layer.blockwise = blockwise
+            saved, _ = layer.apply(A)
+            grads, dA = layer.backward(saved, dZ)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(EquivariantLayer, "matrix", property(_refuse))
+                mp.setattr(layer, "_superblock_products", _refuse)
+                first, none = layer.backward(saved, dZ, input_grad=False)
+            assert none is None
+            for got in (grads, first):
+                assert got.keys() == want.keys()
+                for pid in want:
+                    np.testing.assert_allclose(got[pid], want[pid], rtol=0, atol=TOL)
+            np.testing.assert_allclose(dA, dZ @ layer.matrix, rtol=0, atol=TOL)
 
 
 @settings(

@@ -294,6 +294,23 @@ def test_train_malformed_dataset_exit_2(pipeline, tmp_path, capsys):
         assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "out, message",
+    [("missing/m.json", "no directory"), (".", "is a directory")],
+    ids=["missing-directory", "directory"],
+)
+def test_train_unwritable_out_exit_2_before_training(pipeline, tmp_path, capsys, out, message):
+    """An --out that names a directory, or a file in a missing one, is
+    refused before the first epoch."""
+    out = str(tmp_path / out)
+    rc = main(["train", "--data", pipeline["train"], "--group", "cyclic:4", "--widths", "8",
+               "--out", out])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert "trained in" not in captured.out
+    assert captured.err.startswith(f"error: --out {out}: {message}")
+
+
 @pytest.mark.parametrize("flag,value", [("--batch", "0"), ("--lr", "-1"), ("--epochs", "0")])
 def test_train_bad_config_exit_2(pipeline, capsys, flag, value):
     """A bad optimizer setting is refused before any data is read or epoch run."""
@@ -383,6 +400,42 @@ def test_bound_checkpoint_value_of_wrong_type_exit_2(pipeline, tmp_path, capsys,
         data = json.load(f)
     mutate(data)
     bad = tmp_path / "mistyped.json"
+    bad.write_text(json.dumps(data))
+    with pytest.raises(ValueError, match=re.escape(f"{bad}: {message}")):
+        load_checkpoint(str(bad))
+    rc = main(["bound", "--model", str(bad), "--data", pipeline["train"]])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(f"error: {bad}: {message}")
+
+
+@pytest.mark.parametrize(
+    "mutate, message",
+    [
+        (lambda d: d["architecture"]["input_rep"].update(blocks=[["nope", 1]]),
+         "checkpoint key 'architecture'['input_rep']: group FiniteGroup(kind='cyclic', N=4, "
+         "order=4) has no irrep 'nope'"),
+        (lambda d: d["architecture"].update(hidden_channels=[0]),
+         "checkpoint key 'architecture': hidden_channels must all be >= 1, got [0]"),
+        (lambda d: d["architecture"].update(hidden_channels=[]),
+         "checkpoint key 'architecture': hidden_channels is empty"),
+        (lambda d: d["architecture"].update(n_classes=1),
+         "checkpoint key 'architecture': n_classes must be at least 2, got 1"),
+        (lambda d: d["group"].update(kind="octahedral"),
+         "checkpoint key 'group': unknown group kind 'octahedral'"),
+        (lambda d: d["group"].update(N=0),
+         "checkpoint key 'group': rotation order must be a positive integer, got 0"),
+    ],
+    ids=["irrep", "channel-0", "no-hidden", "one-class", "kind", "N"],
+)
+def test_bound_checkpoint_value_the_model_cannot_take_exit_2(
+    pipeline, tmp_path, capsys, mutate, message
+):
+    """A checkpoint value of the right JSON type that names no irrep or
+    group, or no network, is refused with the file and its key named."""
+    with open(pipeline["model"]) as f:
+        data = json.load(f)
+    mutate(data)
+    bad = tmp_path / "unbuildable.json"
     bad.write_text(json.dumps(data))
     with pytest.raises(ValueError, match=re.escape(f"{bad}: {message}")):
         load_checkpoint(str(bad))
@@ -575,6 +628,45 @@ def test_sweep_unknown_config_key_exit_2(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"no_such_field": 1}))
     assert main(["sweep", "--config", str(cfg)]) == 2
+
+
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        ({"random_labels": "no"}, "key 'random_labels' is not a boolean"),
+        ({"widths": [8.5, 4]}, "key 'widths' is not an array of integers"),
+        ({"seeds": 5}, "key 'seeds' is not an array of integers"),
+        ({"gamma": "1"}, "key 'gamma' is not a number"),
+        ({"d": True}, "key 'd' is not an integer"),
+        ({"groups": [["cyclic", 8, 1]]}, "key 'groups' is not an array of [kind, N] pairs"),
+        ({"groups": ["cyclic:x"]}, "key 'groups': group 'cyclic:x': expected kind:N"),
+        ({"no_such_field": 1}, "key 'no_such_field' is not a setting"),
+        ([1, 2], "file is not a JSON object"),
+    ],
+    ids=["bool", "widths", "seeds", "gamma", "d", "group-pair", "group-text", "unknown", "list"],
+)
+def test_sweep_config_value_of_wrong_type_exit_2(tmp_path, capsys, monkeypatch, config, message):
+    """A config value of another JSON type than its setting's is refused,
+    with the file and the key named, before any cell trains or the output
+    directory is made."""
+    monkeypatch.setattr(cli, "train", lambda *a: pytest.fail("a cell trained"))
+    cfg = tmp_path / "cfg.json"
+    if isinstance(config, dict):
+        config = dict(config, out_dir=str(tmp_path / "out"))
+    cfg.write_text(json.dumps(config))
+    assert main(["sweep", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {cfg}: sweep config {message}")
+    assert not (tmp_path / "out").exists()
+
+
+def test_sweep_config_reads_groups_as_text(tmp_path):
+    """A config group may be written as `--groups` text."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"groups": ["cyclic:8", ["dihedral", 3], "quaternion"], "gamma": 2}))
+    args = cli._build_parser().parse_args(["sweep", "--config", str(cfg)])
+    loaded = cli._load_sweep_config(args)
+    assert loaded.groups == [("cyclic", 8), ("dihedral", 3), ("quaternion", 8)]
+    assert loaded.gamma == 2
 
 
 def test_sweep_empty_grid_exit_2(tmp_path):

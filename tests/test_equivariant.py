@@ -225,20 +225,17 @@ def test_gradients_match_finite_differences():
 @pytest.mark.parametrize("kind,N,channels", [("cyclic", 1, (6, 4)), ("cyclic", 8, (32, 32))])
 def test_backward_pass_drops_each_layers_saved_input(kind, N, channels, monkeypatch):
     """Once the backward pass moves below a layer, nothing references the
-    input that layer saved: its batch rows in block coordinates, which
-    are the rows it was applied to on C1 and its `apply` U on the block
-    route (the C8 32x32 hidden layer)."""
+    input that layer saved: the `saved` its `apply` returns, which is the
+    rows it was applied to on the dense route and those rows in block
+    coordinates on the block route (the C8 32x32 hidden layer)."""
     G, net = _small_net(kind, N, channels)
     saved = {}
     for l, layer in enumerate(net.layers):
 
-        def apply(A, l=l, layer=layer, original=layer.apply):
-            U, Z = original(A)
-            if U is not None:
-                saved[l] = weakref.ref(U)
-            elif layer.in_rep.is_identity:
-                saved[l] = weakref.ref(A)
-            return U, Z
+        def apply(A, l=l, original=layer.apply):
+            kept, Z = original(A)
+            saved[l] = weakref.ref(kept)
+            return kept, Z
 
         monkeypatch.setattr(layer, "apply", apply)
     # project_coefficients runs once per shared irrep, last layer first.
@@ -257,6 +254,51 @@ def test_backward_pass_drops_each_layers_saved_input(kind, N, channels, monkeypa
     net.loss_and_grads(X, rng.integers(0, 2, 16))
     assert set(saved) - {0}
     assert alive_above == [[]] * len(order)
+
+
+@pytest.mark.parametrize("kind,N,channels", [("cyclic", 1, (6, 4)), ("cyclic", 8, (32, 32))])
+def test_backward_drops_the_saved_input_before_forming_dZ_W(kind, N, channels, monkeypatch):
+    """`loss_and_grads` hands each layer's `backward` the only reference
+    to that layer's saved input, and `backward` drops it before it forms
+    dZ W: through W on C1's dense route, through the superblocks on the
+    block route (the C8 32x32 hidden layer)."""
+    G, net = _small_net(kind, N, channels)
+    saved, alive = {}, {}
+    backward = []
+    for l, layer in enumerate(net.layers):
+
+        def apply(A, l=l, original=layer.apply):
+            kept, Z = original(A)
+            saved[l] = weakref.ref(kept)
+            return kept, Z
+
+        def products(V, back=False, l=l, original=layer._superblock_products):
+            if back:
+                alive[l] = saved[l]() is not None
+            return original(V, back)
+
+        monkeypatch.setattr(layer, "apply", apply)
+        monkeypatch.setattr(layer, "_superblock_products", products)
+    dense = EquivariantLayer.matrix
+
+    def matrix(layer):
+        if backward:
+            l = net.layers.index(layer)
+            alive[l] = saved[l]() is not None
+        return dense.fget(layer)
+
+    cross_entropy = equivariant._cross_entropy
+
+    def start_backward(logits, y):
+        backward.append(True)
+        return cross_entropy(logits, y)
+
+    monkeypatch.setattr(EquivariantLayer, "matrix", property(matrix))
+    monkeypatch.setattr(equivariant, "_cross_entropy", start_backward)
+    rng = np.random.default_rng(5)
+    X = rng.standard_normal((16, net.input_rep.dim))
+    net.loss_and_grads(X, rng.integers(0, 2, 16))
+    assert alive == {l: False for l in range(1, net.depth)}
 
 
 def test_build_network_seed_determinism():
