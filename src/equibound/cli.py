@@ -57,6 +57,7 @@ from .equivariant import (
     TrainConfig,
     TrainingDiverged,
     _check_keys,
+    _naming,
     build_network,
     channels_for_width,
     empirical_margin_loss,
@@ -135,6 +136,8 @@ def _samples(settings, spec, m: int, seed: int, test_m: int | None):
 
 
 def _cmd_gen_data(args: argparse.Namespace) -> int:
+    _check_file_path("--train-out", args.train_out)
+    _check_file_path("--test-out", args.test_out)
     continuous, _ = SYMMETRIES[args.symmetry]
     if continuous and (args.d is None or args.f is None):
         raise ValueError("--d and --f are required for continuous symmetries")
@@ -165,19 +168,21 @@ def _build_net(input_rep, widths: list[int], seed: int):
     return build_network(G, input_rep, channels, 2, seed=seed)
 
 
-def _check_file_path(flag: str, path: str) -> None:
+def _check_file_path(flag: str, path: str | None) -> None:
     """Raise ValueError when `path` cannot be written as a file: it is a
-    directory, or its directory does not exist."""
-    if os.path.isdir(path):
-        raise ValueError(f"{flag} {path}: is a directory")
-    parent = os.path.dirname(path) or "."
-    if not os.path.isdir(parent):
-        raise ValueError(f"{flag} {path}: no directory {parent}")
+    directory, or its directory does not exist.  No path, no check."""
+    if not path:
+        return
+    with _naming(f"{flag} {path}"):
+        if os.path.isdir(path):
+            raise ValueError("is a directory")
+        parent = os.path.dirname(path) or "."
+        if not os.path.isdir(parent):
+            raise ValueError(f"no directory {parent}")
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
-    if args.out:
-        _check_file_path("--out", args.out)
+    _check_file_path("--out", args.out)
     cfg = TrainConfig(
         gamma=args.gamma,
         max_epochs=args.epochs,
@@ -251,6 +256,8 @@ def _write_csv(path: str, header: list[str], rows: list[list[str]]) -> None:
 
 
 def _cmd_bound(args: argparse.Namespace) -> int:
+    _check_file_path("--csv", args.csv)
+    _check_file_path("--json", args.json)
     net, metadata = load_checkpoint(args.model)
     spec, train_set = load_dataset(args.data)
     gamma = args.gamma if args.gamma is not None else metadata.get("gamma")
@@ -430,25 +437,24 @@ _CONFIG_TYPES = {
 def _load_sweep_config(args: argparse.Namespace) -> SweepConfig:
     """The JSON config of `--config`, with every flag given applied over it.
 
-    Raises ValueError naming the file and the key for a key that is not
-    a SweepConfig field or a value of another JSON type than its field's
-    (a group may be written as `--groups` text, "cyclic:8").
+    Raises ValueError naming the file, and the key at fault, for a file
+    that is not JSON, a key that is not a SweepConfig field or a value of
+    another JSON type than its field's (a group may be "cyclic:8" text).
     """
     data = {}
     if args.config:
-        with open(args.config) as f:
-            data = json.load(f)
-        hints = typing.get_type_hints(SweepConfig)
-        table = {(name + "?",): _CONFIG_TYPES[hint] for name, hint in hints.items()}
-        _check_keys(args.config, data, table, "sweep config")
-        for key in data:
-            if key not in hints:
-                raise ValueError(f"{args.config}: sweep config key {key!r} is not a setting")
-        if "groups" in data:
-            try:
-                data["groups"] = [_parse_group(g) if type(g) is str else g for g in data["groups"]]
-            except ValueError as exc:
-                raise ValueError(f"{args.config}: sweep config key 'groups': {exc}") from None
+        with _naming(args.config):
+            with open(args.config) as f:
+                data = json.load(f)
+            hints = typing.get_type_hints(SweepConfig)
+            table = {(name + "?",): _CONFIG_TYPES[hint] for name, hint in hints.items()}
+            _check_keys(data, table, "sweep config")
+            for key in data:
+                if key not in hints:
+                    raise ValueError(f"sweep config key {key!r} is not a setting")
+            if "groups" in data:
+                with _naming("sweep config key 'groups'"):
+                    data["groups"] = [_parse_group(g) if type(g) is str else g for g in data["groups"]]
     cfg = SweepConfig(**data)
     for f in fields(SweepConfig):
         value = getattr(args, f.name)
@@ -529,9 +535,11 @@ def run_sweep(cfg: SweepConfig) -> dict:
     )
     # Every setting is refused before any cell trains, by the code that
     # holds its rule: BoundInputs checks gamma, eta, delta and each m, each
-    # size's specs are built here, and the first key's input reps show
-    # whether every group can act on the data.  Groups are the innermost
-    # loop, so each key's datasets and input reps serve one run of cells.
+    # size's specs are built here, the first key's input reps show whether
+    # every group can act on the data, and channels_for_width checks each
+    # width (on the first group: its rule is the same for every group).
+    # Groups are the innermost loop, so each key's datasets and input reps
+    # serve one run of cells.
     for m in cfg.m_grid:
         BoundInputs.check_settings(m, cfg.gamma, cfg.eta, cfg.delta)
     specs = {
@@ -542,6 +550,9 @@ def run_sweep(cfg: SweepConfig) -> dict:
     keys = list(itertools.product(cfg.sizes, cfg.m_grid, cfg.seeds))
     size, m, seed = keys[0]
     task = _sweep_task(cfg, specs[size, seed], m, seed)
+    for w in cfg.widths:
+        with _naming(f"widths, got {w}"):
+            channels_for_width(task[2][0].group, w)
     os.makedirs(cfg.out_dir, exist_ok=True)
     chash = cfg.config_hash()
     rows = []

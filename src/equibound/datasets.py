@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .equivariant import _check_keys, write_atomic
+from .equivariant import _check_keys, _naming, write_atomic
 from .groups import FiniteGroup
 from .irreps import RepSpec, direct_sum, restricted_frequency_rep
 
@@ -392,89 +392,89 @@ DATASET_KEYS = {
 def load_dataset(path: str) -> tuple[DatasetSpec, SampleSet]:
     """Inverse of save_dataset.
 
-    Raises ValueError for a file that lacks a key of DATASET_KEYS or
-    holds one with another JSON type, for a symmetry that is not a
-    family of SYMMETRIES, for a D below 1 or a number of frequencies
-    other than D, for representatives or features that do not fill
-    whole rows, for a file with no samples, and when the samples are
-    inconsistent: per-sample arrays (original_y included, when present)
-    of different lengths, non-finite features, a label or original
-    label outside {0, 1}, or a B below the largest feature norm.
+    Raises ValueError, its message starting with the file's path, for a
+    file that is not JSON, lacks a key of DATASET_KEYS or holds one with
+    another JSON type, for a symmetry that is not a family of SYMMETRIES,
+    for a D below 1 or a number of frequencies other than D, for
+    representatives or features that do not fill whole rows, for a file
+    with no samples, and when the samples are inconsistent: per-sample
+    arrays (original_y included, when present) of different lengths,
+    non-finite features, a label or original label outside {0, 1}, or a
+    B below the largest feature norm.
     """
-    with open(path) as f:
-        data = json.load(f)
-    _check_keys(path, data, DATASET_KEYS, "dataset")
-    s = data["spec"]
-    if s["symmetry"] not in SYMMETRIES:
-        raise ValueError(f"{path}: unknown symmetry {s['symmetry']!r}")
-    n_units = s["D"]
-    if n_units < 1:
-        raise ValueError(f"{path}: D={n_units}, need at least one unit")
-    if len(s["frequencies"]) != n_units:
-        raise ValueError(f"{path}: {len(s['frequencies'])} frequencies for D={n_units} units")
-    width = n_units * _unit_width(s["symmetry"])
-    reps = _rows(path, ("spec", "representatives"), s["representatives"], width)
-    spec = DatasetSpec(
-        symmetry=s["symmetry"],
-        D=n_units,
-        M=s["M"],
-        frequencies=tuple(s["frequencies"]),
-        representatives=reps,
-        labels=np.asarray(s["labels"], dtype=np.int64),
-        noise_sigma_tangent=float(s["noise_sigma_tangent"]),
-        noise_sigma_ambient=float(s["noise_sigma_ambient"]),
-        seed=s["seed"],
-    )
-    d = data["samples"]
-    X = _rows(path, ("samples", "X"), d["X"], width)
-    samples = SampleSet(
-        X=X,
-        y=_labels(path, "labels", d["y"]),
-        B=float(d["B"]),
-        rep_index=np.asarray(d["rep_index"], dtype=np.int64),
-        angle=np.asarray(d["angle"], dtype=np.float64),
-        reflect=np.asarray(d["reflect"], dtype=np.int64),
-        seed=d["seed"],
-        augment=d["augment"],
-        original_y=None
-        if d["original_y"] is None
-        else _labels(path, "original_y labels", d["original_y"]),
-    )
-    _check_samples(path, samples)
+    with _naming(path):
+        with open(path) as f:
+            data = json.load(f)
+        _check_keys(data, DATASET_KEYS, "dataset")
+        s = data["spec"]
+        if s["symmetry"] not in SYMMETRIES:
+            raise ValueError(f"unknown symmetry {s['symmetry']!r}")
+        n_units = s["D"]
+        if n_units < 1:
+            raise ValueError(f"D={n_units}, need at least one unit")
+        if len(s["frequencies"]) != n_units:
+            raise ValueError(f"{len(s['frequencies'])} frequencies for D={n_units} units")
+        width = n_units * _unit_width(s["symmetry"])
+        spec = DatasetSpec(
+            symmetry=s["symmetry"],
+            D=n_units,
+            M=s["M"],
+            frequencies=tuple(s["frequencies"]),
+            representatives=_rows(("spec", "representatives"), s["representatives"], width),
+            labels=np.asarray(s["labels"], dtype=np.int64),
+            noise_sigma_tangent=float(s["noise_sigma_tangent"]),
+            noise_sigma_ambient=float(s["noise_sigma_ambient"]),
+            seed=s["seed"],
+        )
+        d = data["samples"]
+        samples = SampleSet(
+            X=_rows(("samples", "X"), d["X"], width),
+            y=_labels("labels", d["y"]),
+            B=float(d["B"]),
+            rep_index=np.asarray(d["rep_index"], dtype=np.int64),
+            angle=np.asarray(d["angle"], dtype=np.float64),
+            reflect=np.asarray(d["reflect"], dtype=np.int64),
+            seed=d["seed"],
+            augment=d["augment"],
+            original_y=None
+            if d["original_y"] is None
+            else _labels("original_y labels", d["original_y"]),
+        )
+        _check_samples(samples)
     return spec, samples
 
 
-def _rows(path: str, keys: tuple[str, str], values: list, width: int) -> np.ndarray:
+def _rows(keys: tuple[str, str], values: list, width: int) -> np.ndarray:
     """A flat list of numbers as float rows of `width` entries each."""
     if len(values) % width:
         raise ValueError(
-            f"{path}: dataset key {keys[0]!r}[{keys[1]!r}] holds {len(values)} numbers, "
+            f"dataset key {keys[0]!r}[{keys[1]!r}] holds {len(values)} numbers, "
             f"not rows of {width}"
         )
     return np.asarray(values, dtype=np.float64).reshape(-1, width)
 
 
-def _labels(path: str, name: str, values: list) -> np.ndarray:
+def _labels(name: str, values: list) -> np.ndarray:
     # Checked before the int64 cast, which would truncate 0.5 to 0.
     a = np.asarray(values)
     if not np.all((a == 0) | (a == 1)):
-        raise ValueError(f"{path}: {name} must be 0 or 1")
+        raise ValueError(f"{name} must be 0 or 1")
     return a.astype(np.int64)
 
 
-def _check_samples(path: str, samples: SampleSet) -> None:
+def _check_samples(samples: SampleSet) -> None:
     names = ["X", "y", "rep_index", "angle", "reflect"]
     if samples.original_y is not None:
         names.append("original_y")
     lengths = {name: len(getattr(samples, name)) for name in names}
     if len(set(lengths.values())) > 1:
-        raise ValueError(f"{path}: per-sample arrays differ in length: {lengths}")
+        raise ValueError(f"per-sample arrays differ in length: {lengths}")
     if len(samples.X) == 0:
-        raise ValueError(f"{path}: need at least one sample")
+        raise ValueError("need at least one sample")
     if not np.all(np.isfinite(samples.X)):
-        raise ValueError(f"{path}: X has non-finite entries")
+        raise ValueError("X has non-finite entries")
     # B is stored as the largest row norm itself; the slack absorbs a
     # last-bit difference when the norms are recomputed elsewhere.
     largest = float(np.max(np.linalg.norm(samples.X, axis=1), initial=0.0))
     if not largest <= samples.B * (1.0 + 1e-12):
-        raise ValueError(f"{path}: B={samples.B!r} is below the largest row norm {largest!r}")
+        raise ValueError(f"B={samples.B!r} is below the largest row norm {largest!r}")

@@ -826,9 +826,9 @@ CHECKPOINT_KEYS = {
 }
 
 
-def _check_keys(path: str, data, table: dict[tuple[str, ...], str], noun: str) -> None:
-    """Raise ValueError naming the file and the key path of the first
-    entry of `table` that `data` lacks or holds with another JSON type.
+def _check_keys(data, table: dict[tuple[str, ...], str], noun: str) -> None:
+    """Raise ValueError naming the key path of the first entry of `table`
+    that `data` lacks or holds with another JSON type.
 
     `table` maps key paths to names of JSON_TYPES, in the order they are
     checked.  A "*" stands for every key of an object, or entry of an
@@ -842,7 +842,7 @@ def _check_keys(path: str, data, table: dict[tuple[str, ...], str], noun: str) -
                 where = "".join(
                     f" entry {k}" if isinstance(k, int) else f"[{k!r}]" for k in seen[1:]
                 )
-                raise ValueError(f"{path}: {noun} key {seen[0]!r}{where} is not {kind}")
+                raise ValueError(f"{noun} key {seen[0]!r}{where} is not {kind}")
             return
         key, rest = keys[0], keys[1:]
         if key == "*":
@@ -851,14 +851,12 @@ def _check_keys(path: str, data, table: dict[tuple[str, ...], str], noun: str) -
             return
         where = "".join(f"[{k!r}]" for k in seen)
         if not isinstance(entry, dict):
-            raise ValueError(f"{path}: {noun} {where or 'file'} is not a JSON object")
+            raise ValueError(f"{noun} {where or 'file'} is not a JSON object")
         name = key.removesuffix("?")
         if name in entry:
             walk(entry[name], rest, seen + (name,), kind)
         elif name == key:
-            raise ValueError(
-                f"{path}: {noun} lacks the key {name!r}" + (f" in {where}" if where else "")
-            )
+            raise ValueError(f"{noun} lacks the key {name!r}" + (f" in {where}" if where else ""))
 
     for keys, kind in table.items():
         walk(data, keys, (), kind)
@@ -867,52 +865,53 @@ def _check_keys(path: str, data, table: dict[tuple[str, ...], str], noun: str) -
 def load_checkpoint(path: str) -> tuple[EquivariantNetwork, dict]:
     """Rebuild a checkpointed network with bit-identical forward outputs.
 
-    Raises ValueError for a file of another schema version, one that
-    lacks a key of CHECKPOINT_KEYS or holds one with another JSON type,
-    one whose group, input rep or architecture cannot be built (an
-    unknown group kind or irrep, an input basis that is not a square
-    orthogonal matrix of the rep's dimension, a channel count below 1,
-    fewer than two classes), or one whose layers do not match the
-    architecture it records; the message names the file and the key.
+    Raises ValueError, the message led by the file's path, for a file
+    that is not JSON or of another schema version, that lacks a key of
+    CHECKPOINT_KEYS or holds one with another JSON type, whose group,
+    input rep or architecture cannot be built (an unknown group kind or
+    irrep, an input basis that is not a square orthogonal matrix of the
+    rep's dimension, a channel count below 1, fewer than two classes), or
+    whose layers do not match its architecture; a key at fault is named.
     """
-    with open(path) as f:
-        data = json.load(f)
-    version = data.get("schema_version") if isinstance(data, dict) else None
-    if version != CHECKPOINT_SCHEMA:
-        raise ValueError(
-            f"{path}: checkpoint schema_version {version!r} is not supported "
-            f"(expected {CHECKPOINT_SCHEMA})"
-        )
-    _check_keys(path, data, CHECKPOINT_KEYS, "checkpoint")
-    with _naming(path, "'group'"):
-        G = group_from_json(data["group"])
-    arch = data["architecture"]
-    with _naming(path, "'architecture'['input_rep']"):
-        input_rep = rep_from_json(G, arch["input_rep"])
-    with _naming(path, "'architecture'"):
-        net = build_network(G, input_rep, arch["hidden_channels"], arch["n_classes"], seed=0)
-    entries = data["layers"]
-    if len(entries) != len(net.layers):
-        raise ValueError(
-            f"{path}: {len(entries)} layers in checkpoint, "
-            f"the architecture has {len(net.layers)}"
-        )
-    for l, (layer, entry) in enumerate(zip(net.layers, entries)):
-        if set(entry) != set(layer.coefficients):
+    with _naming(path):
+        with open(path) as f:
+            data = json.load(f)
+        version = data.get("schema_version") if isinstance(data, dict) else None
+        if version != CHECKPOINT_SCHEMA:
             raise ValueError(
-                f"{path}: layer {l} holds irreps {sorted(entry)}, "
-                f"expected {sorted(layer.coefficients)}"
+                f"checkpoint schema_version {version!r} is not supported "
+                f"(expected {CHECKPOINT_SCHEMA})"
             )
-        with _naming(path, f"'layers' entry {l}"):
-            layer.set_coefficients(entry)
-    return net, data["metadata"]
+        _check_keys(data, CHECKPOINT_KEYS, "checkpoint")
+        with _naming("checkpoint key 'group'"):
+            G = group_from_json(data["group"])
+        arch = data["architecture"]
+        with _naming("checkpoint key 'architecture'['input_rep']"):
+            input_rep = rep_from_json(G, arch["input_rep"])
+        with _naming("checkpoint key 'architecture'"):
+            net = build_network(G, input_rep, arch["hidden_channels"], arch["n_classes"], seed=0)
+        entries = data["layers"]
+        if len(entries) != len(net.layers):
+            raise ValueError(
+                f"{len(entries)} layers in checkpoint, the architecture has {len(net.layers)}"
+            )
+        for l, (layer, entry) in enumerate(zip(net.layers, entries)):
+            if set(entry) != set(layer.coefficients):
+                raise ValueError(
+                    f"layer {l} holds irreps {sorted(entry)}, "
+                    f"expected {sorted(layer.coefficients)}"
+                )
+            with _naming(f"checkpoint key 'layers' entry {l}"):
+                layer.set_coefficients(entry)
+        return net, data["metadata"]
 
 
 @contextlib.contextmanager
-def _naming(path: str, key: str):
-    """Re-raise a ValueError or KeyError of the block as a ValueError that
-    names the checkpoint file and the key its value was read from."""
+def _naming(prefix: str):
+    """Re-raise a ValueError or KeyError of the block as a ValueError whose
+    message starts with `prefix`: nested, "file: key: message"."""
     try:
         yield
     except (ValueError, KeyError) as exc:
-        raise ValueError(f"{path}: checkpoint key {key}: {exc.args[0]}") from None
+        text = exc.args[0] if isinstance(exc, KeyError) else str(exc)
+        raise ValueError(f"{prefix}: {text}") from None

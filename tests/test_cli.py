@@ -291,7 +291,9 @@ def test_train_malformed_dataset_exit_2(pipeline, tmp_path, capsys):
         bad.write_text(json.dumps(data))
         rc = main(["train", "--data", str(bad), "--group", "cyclic:4", "--widths", "8"])
         assert rc == 2
-        assert message in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert message in err
+        assert err.count(str(bad)) == 1
 
 
 @pytest.mark.parametrize(
@@ -335,12 +337,14 @@ def test_bound_checkpoint_missing_key_exit_2(pipeline, tmp_path, capsys, keys):
     bad = tmp_path / "lacking.json"
     bad.write_text(json.dumps(data))
     message = f"{bad}: checkpoint lacks the key '{keys[-1]}'"
-    with pytest.raises(ValueError, match=re.escape(message)):
+    with pytest.raises(ValueError, match=re.escape(message)) as refused:
         load_checkpoint(str(bad))
+    assert str(refused.value).count(str(bad)) == 1
     rc = main(["bound", "--model", str(bad), "--data", pipeline["train"]])
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {bad}: ") and f"'{keys[-1]}'" in err
+    assert err.count(str(bad)) == 1
 
 
 @pytest.mark.parametrize(
@@ -365,11 +369,14 @@ def test_bound_checkpoint_wrong_json_type_exit_2(pipeline, tmp_path, capsys, whe
         data["layers"] = dict(enumerate(data["layers"]))
     bad = tmp_path / "mistyped.json"
     bad.write_text(json.dumps(data))
-    with pytest.raises(ValueError, match=re.escape(f"{bad}: checkpoint key {message}")):
+    with pytest.raises(ValueError, match=re.escape(f"{bad}: checkpoint key {message}")) as refused:
         load_checkpoint(str(bad))
+    assert str(refused.value).count(str(bad)) == 1
     rc = main(["bound", "--model", str(bad), "--data", pipeline["train"]])
     assert rc == 2
-    assert capsys.readouterr().err.startswith(f"error: {bad}: checkpoint key {message}")
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: checkpoint key {message}")
+    assert err.count(str(bad)) == 1
 
 
 def _first_coefficients_of_layer_1(data, value):
@@ -401,11 +408,14 @@ def test_bound_checkpoint_value_of_wrong_type_exit_2(pipeline, tmp_path, capsys,
     mutate(data)
     bad = tmp_path / "mistyped.json"
     bad.write_text(json.dumps(data))
-    with pytest.raises(ValueError, match=re.escape(f"{bad}: {message}")):
+    with pytest.raises(ValueError, match=re.escape(f"{bad}: {message}")) as refused:
         load_checkpoint(str(bad))
+    assert str(refused.value).count(str(bad)) == 1
     rc = main(["bound", "--model", str(bad), "--data", pipeline["train"]])
     assert rc == 2
-    assert capsys.readouterr().err.startswith(f"error: {bad}: {message}")
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: {message}")
+    assert err.count(str(bad)) == 1
 
 
 @pytest.mark.parametrize(
@@ -437,11 +447,14 @@ def test_bound_checkpoint_value_the_model_cannot_take_exit_2(
     mutate(data)
     bad = tmp_path / "unbuildable.json"
     bad.write_text(json.dumps(data))
-    with pytest.raises(ValueError, match=re.escape(f"{bad}: {message}")):
+    with pytest.raises(ValueError, match=re.escape(f"{bad}: {message}")) as refused:
         load_checkpoint(str(bad))
+    assert str(refused.value).count(str(bad)) == 1
     rc = main(["bound", "--model", str(bad), "--data", pipeline["train"]])
     assert rc == 2
-    assert capsys.readouterr().err.startswith(f"error: {bad}: {message}")
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: {message}")
+    assert err.count(str(bad)) == 1
 
 
 @pytest.mark.parametrize(
@@ -474,11 +487,72 @@ def test_train_dataset_value_of_wrong_type_exit_2(pipeline, tmp_path, capsys, mu
     mutate(data)
     bad = tmp_path / "mistyped.json"
     bad.write_text(json.dumps(data))
-    with pytest.raises(ValueError, match=re.escape(f"{bad}: {message}")):
+    with pytest.raises(ValueError, match=re.escape(f"{bad}: {message}")) as refused:
         load_dataset(str(bad))
+    assert str(refused.value).count(str(bad)) == 1
     rc = main(["train", "--data", str(bad), "--group", "cyclic:4", "--widths", "8"])
     assert rc == 2
-    assert capsys.readouterr().err.startswith(f"error: {bad}: {message}")
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: {message}")
+    assert err.count(str(bad)) == 1
+
+
+# The file readers of the command line, each as a command line that reads
+# `bad` and otherwise the pipeline's good files.
+_READERS = {
+    "bound --model": lambda p, bad: ["bound", "--model", bad, "--data", p["train"]],
+    "bound --data": lambda p, bad: ["bound", "--model", p["model"], "--data", bad],
+    "bound --test-data": lambda p, bad: [
+        "bound", "--model", p["model"], "--data", p["train"], "--test-data", bad,
+    ],
+    "train --data": lambda p, bad: ["train", "--data", bad, "--group", "cyclic:4", "--widths", "8"],
+    "sweep --config": lambda p, bad: ["sweep", "--config", bad],
+}
+
+
+@pytest.mark.parametrize(
+    "content", [b'{"schema_version": 3, "group": ', b"\xff{}"], ids=["truncated", "non-utf-8"]
+)
+@pytest.mark.parametrize("reader", list(_READERS))
+def test_undecodable_file_exit_2_naming_it_once(
+    pipeline, tmp_path, capsys, monkeypatch, reader, content
+):
+    """A truncated or non-UTF-8 file is refused with its path, named
+    once, followed by the decoder's own message."""
+    monkeypatch.setattr(cli, "train", lambda *a: pytest.fail("a network trained"))
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    with pytest.raises(ValueError) as decoding:
+        with open(bad) as f:
+            json.load(f)
+    assert main(_READERS[reader](pipeline, str(bad))) == 2
+    assert capsys.readouterr().err == f"error: {bad}: {decoding.value}\n"
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [("gen-data", "--train-out"), ("gen-data", "--test-out"), ("bound", "--csv"), ("bound", "--json")],
+)
+def test_unwritable_output_exit_2_before_any_work(
+    pipeline, tmp_path, capsys, monkeypatch, command, flag
+):
+    """An output path in a missing directory is refused before any file
+    is read, generated or written."""
+    monkeypatch.setattr(cli, "generate_synthetic", lambda *a, **k: pytest.fail("data generated"))
+    monkeypatch.setattr(cli, "load_checkpoint", lambda *a: pytest.fail("a checkpoint read"))
+    out = tmp_path / "out"
+    out.mkdir()
+    if command == "gen-data":
+        argv = ["gen-data", "--symmetry", "so2", "--d", "2", "--f", "2", "--m", "16",
+                "--train-out", str(out / "train.json"), "--test-out", str(out / "test.json")]
+    else:
+        argv = ["bound", "--model", pipeline["model"], "--data", pipeline["train"],
+                "--csv", str(out / "r.csv"), "--json", str(out / "r.json")]
+    bad = str(tmp_path / "missing" / "x.json")
+    argv[argv.index(flag) + 1] = bad
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(f"error: {flag} {bad}: no directory ")
+    assert os.listdir(out) == []
 
 
 def test_bound_non_orthogonal_input_basis_exit_2(pipeline, tmp_path, capsys):
@@ -606,6 +680,20 @@ def test_sweep_bad_group_exit_2_before_training(tmp_path, monkeypatch, groups):
     assert not (out / "rows.csv").exists()
 
 
+@pytest.mark.parametrize("widths", [["0"], ["8", "-1"]], ids=["only", "later"])
+def test_sweep_bad_width_exit_2_before_out_dir(tmp_path, capsys, widths):
+    """A width below 1 is refused, with the setting and the value named,
+    before the output directory is made."""
+    out = tmp_path / "sw0"
+    rc = main(["sweep", "--groups", "cyclic:2", "--widths", *widths, "--out-dir", str(out),
+               "--sizes", "2", "--d", "2", "--m-grid", "16", "--seeds", "0", "--test-m", "8",
+               "--max-epochs", "1"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "widths" in err and f"got {widths[-1]}" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("seeds, builds", [([0], 3), ([0, 1], 6)])
 def test_sweep_builds_each_input_rep_once_per_key(tmp_path, monkeypatch, seeds, builds):
     """The reps built to refuse a group serve the first key's cells."""
@@ -655,7 +743,9 @@ def test_sweep_config_value_of_wrong_type_exit_2(tmp_path, capsys, monkeypatch, 
         config = dict(config, out_dir=str(tmp_path / "out"))
     cfg.write_text(json.dumps(config))
     assert main(["sweep", "--config", str(cfg)]) == 2
-    assert capsys.readouterr().err.startswith(f"error: {cfg}: sweep config {message}")
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {cfg}: sweep config {message}")
+    assert err.count(str(cfg)) == 1
     assert not (tmp_path / "out").exists()
 
 

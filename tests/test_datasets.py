@@ -427,5 +427,7 @@ def test_load_dataset_rejects_malformed_samples(tmp_path, mutate, message):
     data = json.loads(path.read_text())
     mutate(data)
     path.write_text(json.dumps(data))
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(ValueError, match=message) as refused:
         load_dataset(str(path))
+    assert str(refused.value).startswith(f"{path}: ")
+    assert str(refused.value).count(str(path)) == 1

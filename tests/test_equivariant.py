@@ -822,8 +822,13 @@ def _saved_checkpoint(tmp_path):
 
 
 def _load_edited(path, data):
+    """Load `data` written to `path`; a refusal names the file once, first."""
     path.write_text(json.dumps(data))
-    return load_checkpoint(str(path))
+    try:
+        return load_checkpoint(str(path))
+    except ValueError as exc:
+        assert str(exc).startswith(f"{path}: ") and str(exc).count(str(path)) == 1, exc
+        raise
 
 
 def test_load_rejects_non_orthogonal_input_basis(tmp_path):
