@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import io
 import itertools
@@ -402,8 +403,8 @@ class SweepConfig:
     seeds: list[int] = field(default_factory=lambda: [0, 1, 2])
     gamma: float = 10.0
     widths: list[int] = field(default_factory=lambda: [2048, 512])
-    eta: float = 0.5
-    delta: float = 0.05
+    eta: float = BoundInputs.eta
+    delta: float = BoundInputs.delta
     noise_tangent: float = 0.1
     noise_ambient: float = 0.01
     augment: str = "none"
@@ -496,19 +497,40 @@ def _parse_group(text: str) -> tuple[str, int]:
     return text, 8 if text == "quaternion" else 1
 
 
-def _sweep_task(cfg: SweepConfig, spec, m: int, seed: int):
-    """One sweep key's training and test sets, and each group's input rep.
-
-    The reps follow the order of cfg.groups.
-    """
-    train_set, test_set = _samples(cfg, spec, m, seed, cfg.test_m)
-    input_reps = [input_rep_for(spec, build_group(*group)) for group in cfg.groups]
-    return train_set, test_set, input_reps
-
-
 def _csv_cell(value) -> str:
     """A sweep row's leading column: str for str and int, exact repr for floats."""
     return str(value) if isinstance(value, (str, int)) else repr(float(value))
+
+
+def _sweep_cell(cfg: SweepConfig, key, group, input_rep, train_set, test_set) -> dict:
+    """Train and bound the network of one sweep cell; return its row.
+
+    `key` is the cell's (size, seed) and `input_rep` is `group` acting on
+    the key's data, drawn as `train_set` and `test_set`.
+    """
+    size, seed = key
+    kind, N = group
+    net = _build_net(input_rep, cfg.widths, _derive_seed(seed, f"model:{kind}:{N}"))
+    shuffle_seed = _derive_seed(seed, f"shuffle:{kind}:{N}")
+    tcfg = TrainConfig(cfg.gamma, cfg.max_epochs, cfg.learning_rate, cfg.batch_size, shuffle_seed)
+    try:
+        result = train(net, train_set.X, train_set.y, tcfg)
+        reached, epochs, margin_acc = True, result.epochs, result.margin_accuracy
+    except MarginNotReached as exc:
+        reached, epochs, margin_acc = False, exc.epochs, exc.achieved
+    return {
+        "config_hash": cfg.config_hash(),
+        "symmetry": cfg.symmetry,
+        "size": size,
+        "widths": "x".join(str(w) for w in cfg.widths),
+        "channels": "x".join(str(c) for c in net.hidden_channels),
+        "seed": seed,
+        "epochs": epochs,
+        "margin_reached": int(reached),
+        "margin_accuracy": margin_acc,
+        "random_labels": int(cfg.random_labels),
+        "report": _bound_report(net, train_set, test_set, cfg.gamma, cfg.eta, cfg.delta),
+    }
 
 
 def run_sweep(cfg: SweepConfig) -> dict:
@@ -521,73 +543,44 @@ def run_sweep(cfg: SweepConfig) -> dict:
     caught: it ends the sweep before rows.csv is written.  Both files
     are written atomically.
     """
-    if not (cfg.sizes and cfg.m_grid and cfg.seeds and cfg.groups):
+    if not (cfg.sizes and cfg.m_grid and cfg.seeds and cfg.groups and cfg.widths):
         raise ValueError(
-            "sweep grid is empty: sizes, m_grid, seeds and groups each need a value"
+            "sweep grid is empty: sizes, m_grid, seeds, groups and widths each need a value"
         )
     if cfg.symmetry not in SYMMETRIES:
         raise ValueError(f"unknown symmetry {cfg.symmetry!r}")
-    base_tcfg = TrainConfig(
-        gamma=cfg.gamma,
-        max_epochs=cfg.max_epochs,
-        learning_rate=cfg.learning_rate,
-        batch_size=cfg.batch_size,
-    )
-    # Every setting is refused before any cell trains, by the code that
-    # holds its rule: BoundInputs checks gamma, eta, delta and each m, each
-    # size's specs are built here, the first key's input reps show whether
-    # every group can act on the data, and channels_for_width checks each
-    # width (on the first group: its rule is the same for every group).
-    # Groups are the innermost loop, so each key's datasets and input reps
-    # serve one run of cells.
+    # Every setting is refused before out_dir is made, by the code that
+    # holds its rule: TrainConfig checks the training settings,
+    # BoundInputs gamma, eta, delta and each m; each (size, seed) spec and
+    # each group's input rep on it are built here, and serve that key's
+    # cells; channels_for_width checks each width (on the first group:
+    # its rule is the same for every group); and the first key's datasets
+    # are drawn, so that `sample` refuses test_m and augment.
+    TrainConfig(cfg.gamma, cfg.max_epochs, cfg.learning_rate, cfg.batch_size)
     for m in cfg.m_grid:
         BoundInputs.check_settings(m, cfg.gamma, cfg.eta, cfg.delta)
-    specs = {
-        (size, seed): _spec(cfg, size, _derive_seed(seed, f"spec:{cfg.symmetry}:{size}"))
-        for size in cfg.sizes
-        for seed in cfg.seeds
-    }
-    keys = list(itertools.product(cfg.sizes, cfg.m_grid, cfg.seeds))
-    size, m, seed = keys[0]
-    task = _sweep_task(cfg, specs[size, seed], m, seed)
+    specs, input_reps = {}, {}
+    for size, seed in itertools.product(cfg.sizes, cfg.seeds):
+        spec_seed = _derive_seed(seed, f"spec:{cfg.symmetry}:{size}")
+        spec = specs[size, seed] = _spec(cfg, size, spec_seed)
+        input_reps[size, seed] = [input_rep_for(spec, build_group(*g)) for g in cfg.groups]
+    G = build_group(*cfg.groups[0])
     for w in cfg.widths:
         with _naming(f"widths, got {w}"):
-            channels_for_width(task[2][0].group, w)
+            channels_for_width(G, w)
+
+    @functools.lru_cache(maxsize=1)
+    def draw(size, m, seed):
+        return _samples(cfg, specs[size, seed], m, seed, cfg.test_m)
+
+    keys = list(itertools.product(cfg.sizes, cfg.m_grid, cfg.seeds))
+    draw(*keys[0])
     os.makedirs(cfg.out_dir, exist_ok=True)
-    chash = cfg.config_hash()
     rows = []
-    for i, (size, m, seed) in enumerate(keys):
-        if i > 0:
-            task = _sweep_task(cfg, specs[size, seed], m, seed)
-        train_set, test_set, input_reps = task
-        for (kind, N), input_rep in zip(cfg.groups, input_reps):
-            net = _build_net(input_rep, cfg.widths, _derive_seed(seed, f"model:{kind}:{N}"))
-            tcfg = replace(base_tcfg, seed=_derive_seed(seed, f"shuffle:{kind}:{N}"))
-            try:
-                result = train(net, train_set.X, train_set.y, tcfg)
-                reached = True
-                epochs = result.epochs
-                margin_acc = result.margin_accuracy
-            except MarginNotReached as exc:
-                reached = False
-                epochs = exc.epochs
-                margin_acc = exc.achieved
-            report = _bound_report(net, train_set, test_set, cfg.gamma, cfg.eta, cfg.delta)
-            rows.append(
-                {
-                    "config_hash": chash,
-                    "symmetry": cfg.symmetry,
-                    "size": size,
-                    "widths": "x".join(str(w) for w in cfg.widths),
-                    "channels": "x".join(str(c) for c in net.hidden_channels),
-                    "seed": seed,
-                    "epochs": epochs,
-                    "margin_reached": int(reached),
-                    "margin_accuracy": margin_acc,
-                    "random_labels": int(cfg.random_labels),
-                    "report": report,
-                }
-            )
+    for size, m, seed in keys:
+        train_set, test_set = draw(size, m, seed)
+        for group, input_rep in zip(cfg.groups, input_reps[size, seed]):
+            rows.append(_sweep_cell(cfg, (size, seed), group, input_rep, train_set, test_set))
     rows.sort(
         key=lambda r: (
             r["symmetry"],
@@ -733,14 +726,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--random-labels", action="store_true")
     p.add_argument("--train-out", required=True)
     p.add_argument("--test-out", default=None)
-    p.add_argument("--test-m", type=int, default=10000)
+    p.add_argument("--test-m", type=int, default=SweepConfig.test_m)
     p.set_defaults(func=_cmd_gen_data)
 
     p = sub.add_parser("train", help="train an equivariant network")
     p.add_argument("--data", required=True)
     p.add_argument("--group", required=True, help="cyclic:N, dihedral:N or quaternion")
     p.add_argument("--widths", type=int, nargs="+", default=[2048, 512])
-    p.add_argument("--gamma", type=float, default=10.0)
+    p.add_argument("--gamma", type=float, default=SweepConfig.gamma)
     p.add_argument("--lr", type=float, default=TrainConfig.learning_rate)
     p.add_argument("--epochs", type=int, default=TrainConfig.max_epochs)
     p.add_argument("--batch", type=int, default=TrainConfig.batch_size)
@@ -753,8 +746,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True, help="training dataset file")
     p.add_argument("--test-data", default=None)
     p.add_argument("--gamma", type=float, default=None)
-    p.add_argument("--eta", type=float, default=0.5)
-    p.add_argument("--delta", type=float, default=0.05)
+    p.add_argument("--eta", type=float, default=BoundInputs.eta)
+    p.add_argument("--delta", type=float, default=BoundInputs.delta)
     p.add_argument("--csv", default=None)
     p.add_argument("--json", default=None)
     p.set_defaults(func=_cmd_bound)

@@ -18,7 +18,7 @@ import pytest
 
 from equibound import cli
 from equibound.cli import SweepConfig, _derive_seed, _parse_group, main, run_sweep
-from equibound.bounds import csv_header
+from equibound.bounds import BoundInputs, csv_header
 from equibound.datasets import input_rep_for, load_dataset
 from equibound.equivariant import TrainConfig, TrainingDiverged, load_checkpoint
 from equibound.irreps import rep_to_json
@@ -91,6 +91,25 @@ def test_training_defaults_come_from_train_config():
     assert (args.epochs, args.lr, args.batch) == (
         TrainConfig.max_epochs, TrainConfig.learning_rate, TrainConfig.batch_size
     )
+
+
+@pytest.mark.parametrize(
+    "argv, dest, owner",
+    [
+        (["bound", "--model", "c.json", "--data", "d.json"], "eta", BoundInputs.eta),
+        (["bound", "--model", "c.json", "--data", "d.json"], "delta", BoundInputs.delta),
+        (None, "eta", BoundInputs.eta),
+        (None, "delta", BoundInputs.delta),
+        (["train", "--data", "d.json", "--group", "cyclic:4"], "gamma", SweepConfig.gamma),
+        (["gen-data", "--symmetry", "so2", "--train-out", "t.json"], "test_m", SweepConfig.test_m),
+    ],
+    ids=["bound-eta", "bound-delta", "sweep-eta", "sweep-delta", "train-gamma", "gen-data-test-m"],
+)
+def test_shared_setting_defaults_have_one_owner(argv, dest, owner):
+    """A flag or SweepConfig field (argv None) whose setting another
+    command or BoundInputs shares reads its default from the one owner."""
+    settings = SweepConfig() if argv is None else cli._build_parser().parse_args(argv)
+    assert getattr(settings, dest) == owner
 
 
 def test_config_hash_ignores_out_dir():
@@ -694,9 +713,16 @@ def test_sweep_bad_width_exit_2_before_out_dir(tmp_path, capsys, widths):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("seeds, builds", [([0], 3), ([0, 1], 6)])
-def test_sweep_builds_each_input_rep_once_per_key(tmp_path, monkeypatch, seeds, builds):
-    """The reps built to refuse a group serve the first key's cells."""
+@pytest.mark.parametrize(
+    "seeds, m_grid, builds",
+    [([0], [96], 3), ([0, 1], [96], 6), ([0], [96, 48], 3)],
+    ids=["one-key", "two-seeds", "two-m"],
+)
+def test_sweep_builds_each_input_rep_once_per_size_and_seed(
+    tmp_path, monkeypatch, seeds, m_grid, builds
+):
+    """The reps built to refuse a group serve every cell of their (size,
+    seed), whatever its m."""
     built = []
 
     def counted(spec, G):
@@ -707,9 +733,33 @@ def test_sweep_builds_each_input_rep_once_per_key(tmp_path, monkeypatch, seeds, 
     cfg = _tiny_sweep_config(tmp_path / "s")
     cfg.groups = [("cyclic", 1), ("cyclic", 2), ("cyclic", 4)]
     cfg.seeds = seeds
+    cfg.m_grid = m_grid
     cfg.max_epochs = 1
-    assert len(run_sweep(cfg)["rows"]) == 3 * len(seeds)
+    assert len(run_sweep(cfg)["rows"]) == 3 * len(seeds) * len(m_grid)
     assert len(built) == builds
+
+
+def test_sweep_cell_does_not_depend_on_its_neighbours(tmp_path):
+    """A group's rows are the same whether it is swept alone or beside
+    other groups, in either order; only the grid's config_hash differs."""
+
+    def rows_of(groups, name):
+        cfg = _tiny_sweep_config(tmp_path / name)
+        cfg.groups = groups
+        cfg.seeds = [0, 1]
+        cfg.max_epochs = 20
+        body = Path(run_sweep(cfg)["csv_path"]).read_text()
+        return [
+            dict(row, config_hash=None)
+            for row in csv.DictReader(io.StringIO(body))
+            if (row["group_kind"], row["N"]) == ("cyclic", "2")
+        ]
+
+    c2, c4 = ("cyclic", 2), ("cyclic", 4)
+    alone = rows_of([c2], "alone")
+    assert len(alone) == 2
+    assert rows_of([c2, c4], "first") == alone
+    assert rows_of([c4, c2], "last") == alone
 
 
 def test_sweep_unknown_config_key_exit_2(tmp_path):
@@ -763,6 +813,38 @@ def test_sweep_empty_grid_exit_2(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"groups": [], "out_dir": str(tmp_path / "out")}))
     assert main(["sweep", "--config", str(cfg)]) == 2
+    assert not (tmp_path / "out").exists()
+
+
+def test_sweep_empty_widths_exit_2_before_out_dir(tmp_path, capsys):
+    """A grid with no hidden layer is refused as an empty grid, naming `widths`."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"widths": [], "out_dir": str(tmp_path / "out")}))
+    assert main(["sweep", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: sweep grid is empty") and "widths" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "setting, message",
+    [
+        ({"test_m": 0}, "error: need at least one sample\n"),
+        ({"augment": "rotate"}, "error: unknown augment mode 'rotate'\n"),
+    ],
+    ids=["test_m", "augment"],
+)
+def test_sweep_setting_the_sampler_refuses_exit_2_before_out_dir(
+    tmp_path, capsys, monkeypatch, setting, message
+):
+    """`sample` holds the rules of test_m and augment; the sweep draws its
+    first datasets before the output directory is made, so they refuse."""
+    monkeypatch.setattr(cli, "train", lambda *a: pytest.fail("a cell trained"))
+    cfg = tmp_path / "cfg.json"
+    grid = {"sizes": [2], "d": 2, "m_grid": [16], "seeds": [0], "widths": [8]}
+    cfg.write_text(json.dumps(dict(grid, **setting, out_dir=str(tmp_path / "out"))))
+    assert main(["sweep", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == message
     assert not (tmp_path / "out").exists()
 
 
