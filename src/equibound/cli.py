@@ -45,6 +45,8 @@ from .bounds import (
     tail_threshold,
 )
 from .datasets import (
+    NOISE_AMBIENT,
+    NOISE_TANGENT,
     SYMMETRIES,
     generate_synthetic,
     input_rep_for,
@@ -405,8 +407,8 @@ class SweepConfig:
     widths: list[int] = field(default_factory=lambda: [2048, 512])
     eta: float = BoundInputs.eta
     delta: float = BoundInputs.delta
-    noise_tangent: float = 0.1
-    noise_ambient: float = 0.01
+    noise_tangent: float = NOISE_TANGENT
+    noise_ambient: float = NOISE_AMBIENT
     augment: str = "none"
     random_labels: bool = False
     test_m: int = 10000
@@ -712,28 +714,30 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Equivariant networks with PAC-Bayesian generalization bounds",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # The flags of settings a sweep also takes read their defaults here.
+    sweep = SweepConfig()
 
     p = sub.add_parser("gen-data", help="generate a synthetic dataset")
     p.add_argument("--symmetry", required=True, choices=_CHOICES["symmetry"])
     p.add_argument("--d", type=int, default=None, help="circles/pairs (continuous)")
     p.add_argument("--f", type=int, default=None, help="max frequency (continuous)")
     p.add_argument("--m-order", type=int, default=None, help="rotation order M (discrete)")
-    p.add_argument("--m", type=int, default=3200, help="training samples")
+    p.add_argument("--m", type=int, default=sweep.m_grid[0], help="training samples")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--noise-tangent", type=float, default=0.1)
-    p.add_argument("--noise-ambient", type=float, default=0.01)
+    p.add_argument("--noise-tangent", type=float, default=sweep.noise_tangent)
+    p.add_argument("--noise-ambient", type=float, default=sweep.noise_ambient)
     p.add_argument("--augment", choices=_CHOICES["augment"], default="none")
     p.add_argument("--random-labels", action="store_true")
     p.add_argument("--train-out", required=True)
     p.add_argument("--test-out", default=None)
-    p.add_argument("--test-m", type=int, default=SweepConfig.test_m)
+    p.add_argument("--test-m", type=int, default=sweep.test_m)
     p.set_defaults(func=_cmd_gen_data)
 
     p = sub.add_parser("train", help="train an equivariant network")
     p.add_argument("--data", required=True)
     p.add_argument("--group", required=True, help="cyclic:N, dihedral:N or quaternion")
-    p.add_argument("--widths", type=int, nargs="+", default=[2048, 512])
-    p.add_argument("--gamma", type=float, default=SweepConfig.gamma)
+    p.add_argument("--widths", type=int, nargs="+", default=sweep.widths)
+    p.add_argument("--gamma", type=float, default=sweep.gamma)
     p.add_argument("--lr", type=float, default=TrainConfig.learning_rate)
     p.add_argument("--epochs", type=int, default=TrainConfig.max_epochs)
     p.add_argument("--batch", type=int, default=TrainConfig.batch_size)

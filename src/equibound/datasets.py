@@ -34,6 +34,8 @@ from .irreps import RepSpec, direct_sum, restricted_frequency_rep
 
 __all__ = [
     "DatasetSpec",
+    "NOISE_AMBIENT",
+    "NOISE_TANGENT",
     "SYMMETRIES",
     "SampleSet",
     "generate_synthetic",
@@ -43,6 +45,11 @@ __all__ = [
     "sample",
     "save_dataset",
 ]
+
+# The default noise magnitudes of a synthetic task, tangent to its orbits
+# and in the ambient space: `generate_synthetic`'s and `cli.SweepConfig`'s.
+NOISE_TANGENT = 0.1
+NOISE_AMBIENT = 0.01
 
 # The one table of symmetry families: name -> (continuous, reflects).  A
 # continuous family acts by every rotation angle, a discrete one by the M
@@ -182,8 +189,8 @@ def generate_synthetic(
     size: int,
     max_frequency: int | None = None,
     seed: int = 0,
-    noise_sigma_tangent: float = 0.1,
-    noise_sigma_ambient: float = 0.01,
+    noise_sigma_tangent: float = NOISE_TANGENT,
+    noise_sigma_ambient: float = NOISE_AMBIENT,
 ) -> DatasetSpec:
     """Build a DatasetSpec.
 

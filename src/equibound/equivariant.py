@@ -13,7 +13,9 @@ with the rep's small base basis), one matmul per shared irrep, and a
 change of basis back out of the output's; the superblocks are cached
 until the coefficients change.  The dense matrix W = Q_out (block
 matrix) Q_in^T commutes with the group action by construction and is
-the oracle of the verification checks.
+the oracle of the verification checks.  Only a dense-route layer (see
+below) caches W; a block-route layer's W is an oracle build, made
+afresh on each read and never kept.
 
 Each layer picks its route from its reps alone (see
 EquivariantLayer.blockwise).  It is applied through its superblocks
@@ -41,7 +43,7 @@ repeated `margins` call on unchanged weights and data (the stopping
 check of `train`'s last epoch, then the 0-1 and margin losses of the
 bound report) costs one hash, not a forward pass.  So coefficients may
 be mutated in place only when `mark_dirty` follows, which the
-superblock and dense-matrix caches require as well.
+superblock and dense-route W caches require as well.
 
 Networks alternate these layers with pointwise ReLU applied in the
 represented coordinates (the group domain for regular-representation
@@ -117,7 +119,8 @@ class EquivariantLayer:
     Parameters live in `coefficients`, a dict keyed by irrep id holding
     arrays of shape (m_out, m_in, c_psi), one per record of `shared`
     (`shared_irreps(in_rep, out_rep)`).  The superblocks they expand
-    to are cached, and so is the dense `matrix` once read; call
+    to are cached, and so is the dense `matrix` of a dense-route layer
+    once read (a block-route layer builds it on each read); call
     `mark_dirty` after mutating coefficient arrays in place.  It also
     renews `version`, which names the weight state in the network's
     margins memo (see `margins`).
@@ -161,7 +164,7 @@ class EquivariantLayer:
         return sum(a.size for a in self.coefficients.values())
 
     def mark_dirty(self) -> None:
-        """Drop the cached superblocks and dense matrix; renew `version`."""
+        """Drop the cached superblocks and dense-route W; renew `version`."""
         self._superblocks = None
         self._matrix = None
         self.version = next(_VERSIONS)
@@ -209,12 +212,21 @@ class EquivariantLayer:
 
     @property
     def matrix(self) -> np.ndarray:
-        """Dense W = Q_out (block matrix) Q_in^T, cached until dirty."""
-        if self._matrix is None:
-            S = self.block_matrix()
-            T = self.in_rep.from_block(S)
-            self._matrix = self.out_rep.from_block(T.T).T
-        return self._matrix
+        """Dense W = Q_out (block matrix) Q_in^T.
+
+        A dense-route layer caches it until dirty, since `apply` and
+        `backward` read it every step.  A block-route layer's W is read
+        only by the oracles: it is built afresh on each read and not
+        kept.  The block matrix is dropped before W is formed, so one
+        W-sized temporary is alive beside the result.
+        """
+        if self._matrix is not None:
+            return self._matrix
+        T = self.in_rep.from_block(self.block_matrix())
+        W = self.out_rep.from_block(T.T).T
+        if not self.blockwise:
+            self._matrix = W
+        return W
 
     def apply(self, A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Apply the layer to batch rows A; returns (saved, A W^T).

@@ -313,7 +313,7 @@ def mc_perturbation_check(
     X = np.asarray(X, dtype=np.float64)
     L = net.depth
     base = net.forward(X)
-    weights = [layer.matrix.copy() for layer in net.layers]
+    weights = [layer.matrix for layer in net.layers]
     spec_w = [layer_norms(layer)[0] for layer in net.layers]
     worst = -math.inf
     rejected = 0

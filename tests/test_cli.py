@@ -2,6 +2,7 @@
 
 import argparse
 import csv
+import inspect
 import io
 import json
 import math
@@ -19,7 +20,13 @@ import pytest
 from equibound import cli
 from equibound.cli import SweepConfig, _derive_seed, _parse_group, main, run_sweep
 from equibound.bounds import BoundInputs, csv_header
-from equibound.datasets import input_rep_for, load_dataset
+from equibound.datasets import (
+    NOISE_AMBIENT,
+    NOISE_TANGENT,
+    generate_synthetic,
+    input_rep_for,
+    load_dataset,
+)
 from equibound.equivariant import TrainConfig, TrainingDiverged, load_checkpoint
 from equibound.irreps import rep_to_json
 
@@ -102,14 +109,40 @@ def test_training_defaults_come_from_train_config():
         (None, "delta", BoundInputs.delta),
         (["train", "--data", "d.json", "--group", "cyclic:4"], "gamma", SweepConfig.gamma),
         (["gen-data", "--symmetry", "so2", "--train-out", "t.json"], "test_m", SweepConfig.test_m),
+        (["gen-data", "--symmetry", "so2", "--train-out", "t.json"], "m", SweepConfig().m_grid[0]),
+        (["train", "--data", "d.json", "--group", "cyclic:4"], "widths", SweepConfig().widths),
+        (["gen-data", "--symmetry", "so2", "--train-out", "t.json"], "noise_tangent", NOISE_TANGENT),
+        (["gen-data", "--symmetry", "so2", "--train-out", "t.json"], "noise_ambient", NOISE_AMBIENT),
+        (None, "noise_tangent", NOISE_TANGENT),
+        (None, "noise_ambient", NOISE_AMBIENT),
     ],
-    ids=["bound-eta", "bound-delta", "sweep-eta", "sweep-delta", "train-gamma", "gen-data-test-m"],
+    ids=[
+        "bound-eta",
+        "bound-delta",
+        "sweep-eta",
+        "sweep-delta",
+        "train-gamma",
+        "gen-data-test-m",
+        "gen-data-m",
+        "train-widths",
+        "gen-data-noise-tangent",
+        "gen-data-noise-ambient",
+        "sweep-noise-tangent",
+        "sweep-noise-ambient",
+    ],
 )
 def test_shared_setting_defaults_have_one_owner(argv, dest, owner):
     """A flag or SweepConfig field (argv None) whose setting another
-    command or BoundInputs shares reads its default from the one owner."""
+    command, BoundInputs or the datasets module shares reads its default
+    from the one owner."""
     settings = SweepConfig() if argv is None else cli._build_parser().parse_args(argv)
     assert getattr(settings, dest) == owner
+
+
+def test_generate_synthetic_noise_defaults_are_the_module_constants():
+    params = inspect.signature(generate_synthetic).parameters
+    assert params["noise_sigma_tangent"].default == NOISE_TANGENT == 0.1
+    assert params["noise_sigma_ambient"].default == NOISE_AMBIENT == 0.01
 
 
 def test_config_hash_ignores_out_dir():

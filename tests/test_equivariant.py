@@ -1,6 +1,7 @@
 """Layer/network equivariance, gradients, training, and checkpoints."""
 
 import json
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -90,8 +91,10 @@ def test_layer_equivariance_random_coefficients():
 
 
 def test_layer_matrix_cache_dirty_flag():
+    """A dense-route layer keeps its W until the coefficients change."""
     G, net = _small_net()
     layer = net.layers[0]
+    assert not layer.blockwise
     W1 = layer.matrix
     assert layer.matrix is W1  # cached object, no rebuild
     pid = next(iter(layer.coefficients))
@@ -101,6 +104,47 @@ def test_layer_matrix_cache_dirty_flag():
     W2 = layer.matrix
     assert W2 is not W1
     assert not np.array_equal(W1, W2)
+
+
+def _c8_block_layer():
+    """C8's 2048 -> 512 regular-stack layer, random coefficients, superblocks built."""
+    G = build_group("cyclic", 8)
+    reg = regular_representation(G)
+    layer = EquivariantLayer(stack_rep(reg, 256), stack_rep(reg, 64))
+    rng = np.random.default_rng(5)
+    layer.set_coefficients(
+        {pid: rng.standard_normal(co.shape) for pid, co in layer.coefficients.items()}
+    )
+    layer.superblocks()
+    return layer
+
+
+def test_block_route_matrix_is_built_on_every_read():
+    """A block-route W is an oracle build: each read is a fresh array with
+    the dense formula's values, and none is kept on the layer."""
+    layer = _c8_block_layer()
+    assert layer.blockwise
+    S = layer.block_matrix()
+    expected = layer.out_rep.from_block(layer.in_rep.from_block(S).T).T
+    del S
+    W1 = layer.matrix
+    W2 = layer.matrix
+    assert W1 is not W2 and not np.shares_memory(W1, W2)
+    assert np.array_equal(W1, expected) and np.array_equal(W2, expected)
+    assert layer._matrix is None
+
+
+def test_block_route_matrix_holds_one_temporary():
+    """Building a block-route W keeps at most one W-sized array beside the
+    result: the block matrix is dropped before W is formed."""
+    layer = _c8_block_layer()
+    tracemalloc.start()
+    try:
+        W = layer.matrix
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * W.nbytes + 2**20
 
 
 def test_superblock_cache_follows_coefficients():

@@ -134,6 +134,7 @@ def test_check_equivariance_detects_broken_layer():
     G = build_group("cyclic", 4)
     net = build_network(G, regular_representation(G), [2], 2, seed=3)
     layer = net.layers[0]
+    assert not layer.blockwise  # a dense-route layer reads its cached W
     rng = np.random.default_rng(4)
     layer._matrix = rng.standard_normal(layer.matrix.shape)
     layer._dirty = False
