@@ -82,7 +82,6 @@ from .irreps import (
 )
 from .verify import (
     CheckResult,
-    character_type_oracle,
     check_equivariance,
     chi_square_mc_check,
     convolution_theorem_check,
@@ -295,8 +294,7 @@ def _verify_suite(trials: int, seed: int) -> list:
         for n in ns:
             G = build_group(kind, n)
             for psi in irreps_of(G):
-                c = character_type_oracle(psi, G)
-                worst = max(worst, abs(float(np.mean(psi.characters**2)) - c))
+                worst = max(worst, abs(float(np.mean(psi.characters**2)) - psi.type_c))
                 n_irreps += 1
     results.append(CheckResult("character-types", worst, n_irreps, 0.01))
 
@@ -321,9 +319,7 @@ def _verify_suite(trials: int, seed: int) -> list:
 
     for kind, n, pid in (("dihedral", 4, "freq:1"), ("cyclic", 8, "freq:1"), ("quaternion", 8, "quat")):
         G = build_group(kind, n)
-        results.append(
-            intertwiner_identity_check(G, irrep_by_id(G, pid), trials, seed=seed)
-        )
+        results.append(intertwiner_identity_check(irrep_by_id(G, pid), trials, seed=seed))
 
     for kind, n in (("cyclic", 8), ("dihedral", 6)):
         G = build_group(kind, n)

@@ -96,10 +96,6 @@ class DatasetSpec:
         return _unit_width(self.symmetry)
 
     @property
-    def ambient_dim(self) -> int:
-        return self.D * self.unit_width
-
-    @property
     def n_representatives(self) -> int:
         return self.representatives.shape[0]
 

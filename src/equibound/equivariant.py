@@ -63,7 +63,7 @@ import itertools
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -318,15 +318,17 @@ class EquivariantNetwork:
         return len(self.layers)
 
     def forward(self, X: np.ndarray) -> np.ndarray:
-        """Logits for a batch (rows) or a single vector.
+        """Logits for a batch of rows.
 
         The rows pass through the layers in blocks of EVAL_ROWS, so the
         peak memory does not grow with their number; each block's logits
-        are those of a forward pass over that block alone.
+        are those of a forward pass over that block alone.  Raises
+        ValueError, before any layer runs, unless X is 2D with the input
+        rep's dimension as its width.
         """
         X = np.asarray(X, dtype=np.float64)
-        if X.ndim == 1:
-            return self.forward(X[None, :])[0]
+        if X.ndim != 2:
+            raise ValueError(f"need a 2D batch of rows, got a {X.ndim}D array")
         self._check_width(X)
         out = np.empty((X.shape[0], self.n_classes))
         for start in range(0, X.shape[0], EVAL_ROWS):
@@ -516,7 +518,7 @@ def empirical_margin_loss(
 MARGIN_TARGET = 0.99
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
     """Optimization and stopping parameters for margin training."""
 
@@ -539,14 +541,13 @@ class TrainConfig:
             )
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainResult:
-    """Training trace: stopping epoch plus per-epoch diagnostics."""
+    """The epoch at which training reached the margin target, and the
+    fraction of training points above the margin after it."""
 
     epochs: int
     margin_accuracy: float
-    loss_history: list[float] = field(default_factory=list)
-    margin_history: list[float] = field(default_factory=list)
 
 
 class MarginNotReached(RuntimeError):
@@ -688,18 +689,13 @@ def train(
     rng = np.random.default_rng(cfg.seed)
     state = _adam_state(net)
     step = 0
-    result = TrainResult(epochs=0, margin_accuracy=0.0)
     for epoch in range(1, cfg.max_epochs + 1):
         order = rng.permutation(m)
-        epoch_loss = 0.0
-        n_batches = 0
         for start in range(0, m, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
             loss, grads = net.loss_and_grads(X[idx], y[idx])
             if not math.isfinite(loss):
                 raise TrainingDiverged(epoch, f"batch loss {loss}")
-            epoch_loss += loss
-            n_batches += 1
             step += 1
             corr1 = 1.0 - ADAM_BETA1**step
             corr2 = 1.0 - ADAM_BETA2**step
@@ -721,13 +717,9 @@ def train(
         ):
             raise TrainingDiverged(epoch, "non-finite coefficients")
         frac = float(np.mean(margins(net, X, y) > cfg.gamma))
-        result.epochs = epoch
-        result.margin_accuracy = frac
-        result.loss_history.append(epoch_loss / max(n_batches, 1))
-        result.margin_history.append(frac)
         if frac >= MARGIN_TARGET:
-            return result
-    raise MarginNotReached(cfg.max_epochs, result.margin_accuracy)
+            return TrainResult(epochs=epoch, margin_accuracy=frac)
+    raise MarginNotReached(cfg.max_epochs, frac)
 
 
 # Version 3: copies are numbered component-major, copy fastest, so the

@@ -41,8 +41,6 @@ _Q8_UNITS = (
     (0, 0, 0, -1),
 )
 
-_Q8_NAMES = ("1", "-1", "i", "-i", "j", "-j", "k", "-k")
-
 
 def _quat_mul(p: tuple, q: tuple) -> tuple:
     """Hamilton product of two quaternions given as (w, x, y, z) tuples."""
@@ -70,28 +68,6 @@ class FiniteGroup:
     order: int
     cayley: np.ndarray
     inverses: np.ndarray
-    names: tuple[str, ...]
-
-    @property
-    def identity(self) -> int:
-        return 0
-
-    def compose(self, a: int, b: int) -> int:
-        """Return the index of the product a * b."""
-        self._check(a)
-        self._check(b)
-        return int(self.cayley[a, b])
-
-    def inverse(self, a: int) -> int:
-        """Return the index of a^{-1}."""
-        self._check(a)
-        return int(self.inverses[a])
-
-    def _check(self, a: int) -> None:
-        if not 0 <= a < self.order:
-            raise IndexError(
-                f"element index {a} out of range for group of order {self.order}"
-            )
 
     def __repr__(self) -> str:
         return f"FiniteGroup(kind={self.kind!r}, N={self.N}, order={self.order})"
@@ -101,8 +77,7 @@ def _cyclic_tables(N: int):
     k = np.arange(N)
     cayley = (k[:, None] + k[None, :]) % N
     inverses = (-k) % N
-    names = tuple(f"r{a}" for a in range(N))
-    return cayley, inverses, names
+    return cayley, inverses
 
 
 def _dihedral_tables(N: int):
@@ -118,8 +93,7 @@ def _dihedral_tables(N: int):
     cayley[N:, :N] = N + add
     cayley[N:, N:] = sub
     inverses = np.concatenate([(-a) % N, N + a])
-    names = tuple(f"r{k}" for k in range(N)) + tuple(f"s{k}" for k in range(N))
-    return cayley, inverses, names
+    return cayley, inverses
 
 
 def _quaternion_tables():
@@ -129,7 +103,7 @@ def _quaternion_tables():
         dtype=np.int64,
     )
     inverses = np.array([int(np.where(cayley[i] == 0)[0][0]) for i in range(8)])
-    return cayley, inverses, _Q8_NAMES
+    return cayley, inverses
 
 
 @lru_cache(maxsize=None)
@@ -142,16 +116,16 @@ def build_group(kind: str, N: int = 1) -> FiniteGroup:
     if kind not in GROUP_KINDS:
         raise ValueError(f"unknown group kind {kind!r}; expected one of {GROUP_KINDS}")
     if kind == "quaternion":
-        cayley, inverses, names = _quaternion_tables()
+        cayley, inverses = _quaternion_tables()
         N = 8
     else:
         if not isinstance(N, (int, np.integer)) or N < 1:
             raise ValueError(f"rotation order must be a positive integer, got {N!r}")
         N = int(N)
         if kind == "cyclic":
-            cayley, inverses, names = _cyclic_tables(N)
+            cayley, inverses = _cyclic_tables(N)
         else:
-            cayley, inverses, names = _dihedral_tables(N)
+            cayley, inverses = _dihedral_tables(N)
     cayley.setflags(write=False)
     inverses.setflags(write=False)
     return FiniteGroup(
@@ -160,7 +134,6 @@ def build_group(kind: str, N: int = 1) -> FiniteGroup:
         order=cayley.shape[0],
         cayley=cayley,
         inverses=inverses,
-        names=tuple(names),
     )
 
 

@@ -225,7 +225,7 @@ def _intertwiner_basis_cached(d: int, c: int) -> np.ndarray:
     return _freeze(basis)
 
 
-def intertwiner_basis(G: FiniteGroup, psi: Irrep) -> np.ndarray:
+def intertwiner_basis(psi: Irrep) -> np.ndarray:
     """Return the c orthogonal basis matrices of psi's self-intertwiner space.
 
     Shape (c, dim, dim).  Real type gives {I}; complex type adds the
@@ -343,7 +343,7 @@ class SharedIrrep(NamedTuple):
 
     @property
     def basis(self) -> np.ndarray:
-        return _intertwiner_basis_cached(self.psi.dim, self.psi.type_c)
+        return intertwiner_basis(self.psi)
 
     @property
     def in_cols(self) -> slice:

@@ -173,11 +173,9 @@ def rep_invariants_check(rep, rho: np.ndarray, tol: float = 1e-10) -> CheckResul
     )
 
 
-def intertwiner_identity_check(
-    G: FiniteGroup, psi: Irrep, trials: int, seed: int = 0
-) -> CheckResult:
+def intertwiner_identity_check(psi: Irrep, trials: int, seed: int = 0) -> CheckResult:
     """Spectral identity |W|_2 = |W|_F / sqrt(dim) on random intertwiners."""
-    basis = intertwiner_basis(G, psi)
+    basis = intertwiner_basis(psi)
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(trials):

@@ -164,7 +164,7 @@ def test_03_intertwiner_spectral_identity():
         G = build_group(kind, N)
         psi = irrep_by_id(G, pid)
         ok = ok and psi.type_c == type_c
-        result = intertwiner_identity_check(G, psi, trials=100, seed=seed)
+        result = intertwiner_identity_check(psi, trials=100, seed=seed)
         ok = ok and result.passed and result.threshold <= 1e-8
         worst = max(worst, result.max_violation)
     _emit(3, "intertwiner spectral identity", ok,

@@ -11,7 +11,7 @@ import re
 import subprocess
 import sys
 import warnings
-from dataclasses import asdict, fields
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -916,6 +916,23 @@ def test_verify_smoke(capsys):
     assert any("character-types" in line for line in lines)
     assert any("tail-bound" in line for line in lines)
     assert any("perturbation-inequality" in line for line in lines)
+
+
+def test_verify_character_types_reads_declared_type(monkeypatch, capsys):
+    """An irrep declared with the wrong Frobenius-Schur type fails the
+    character-types line, though its characters match another type."""
+    irreps_of = cli.irreps_of
+
+    def declared_real(G):
+        return tuple(
+            replace(psi, type_c=1) if psi.type_c == 2 else psi for psi in irreps_of(G)
+        )
+
+    monkeypatch.setattr(cli, "irreps_of", declared_real)
+    rc = main(["verify", "--trials", "3", "--seed", "0"])
+    line = next(l for l in capsys.readouterr().out.splitlines() if l.startswith("character-types"))
+    assert rc == 1
+    assert line.endswith("FAIL")
 
 
 @pytest.mark.parametrize("trials", ["0", "-3"])

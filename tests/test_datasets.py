@@ -22,7 +22,7 @@ def test_so2_spec_shape():
     assert spec.symmetry == "so2"
     assert spec.D == 6
     assert spec.frequencies == (1, 2, 3, 1, 2, 3)
-    assert spec.ambient_dim == 12
+    assert spec.representatives.shape[1] == 12
     assert spec.n_representatives == 32
     assert len(spec.labels) == 32
     assert set(spec.labels) <= {0, 1}
@@ -53,7 +53,7 @@ def test_o2_spec_shape():
     spec = generate_synthetic("o2", 5, max_frequency=2, seed=3)
     assert spec.paired
     assert spec.unit_width == 4
-    assert spec.ambient_dim == 20
+    assert spec.representatives.shape[1] == 20
     assert spec.n_representatives == 16
     R = spec.representatives
     # exactly one circle of each pair is occupied
@@ -70,7 +70,7 @@ def test_discrete_cyclic_construction():
     assert spec.M == 8
     assert spec.D == 4
     assert spec.frequencies == (1, 2, 3, 4)
-    assert spec.ambient_dim == 16
+    assert spec.representatives.shape[1] == 16
     assert spec.n_representatives == 16  # 8 base + 8 rotated
     y = np.array(spec.labels)
     assert list(y[:8]) == [0] * 8
@@ -129,7 +129,7 @@ def test_discrete_class_one_is_half_step_rotation_of_class_zero():
 
 def _rotation_matrix(spec, theta):
     """Block rotation acting at each unit's frequency, pairs rotated per circle."""
-    n = spec.ambient_dim
+    n = spec.representatives.shape[1]
     out = np.zeros((n, n))
     width = spec.unit_width
     for u, f in enumerate(spec.frequencies):
@@ -269,7 +269,7 @@ def test_input_rep_for_matches_ambient_dim():
         for kind, N in (("cyclic", 4), ("dihedral", 3)):
             G = build_group(kind, N)
             rep = input_rep_for(spec, G)
-            assert rep.dim == spec.ambient_dim
+            assert rep.dim == spec.representatives.shape[1]
     spec = generate_synthetic("cyclic", 8, seed=26)
     G = build_group("cyclic", 8)
     assert input_rep_for(spec, G).dim == 16

@@ -1,5 +1,6 @@
 """Layer/network equivariance, gradients, training, and checkpoints."""
 
+import dataclasses
 import json
 import tracemalloc
 import weakref
@@ -66,7 +67,7 @@ def test_layer_shared_is_the_shared_irreps_record(kind, N):
         assert layer.shared == shared_irreps(layer.in_rep, layer.out_rep)
         assert list(layer.coefficients) == [b.irrep_id for b in layer.shared]
         for b in layer.shared:
-            assert b.basis is intertwiner_basis(G, b.psi)
+            assert b.basis is intertwiner_basis(b.psi)
             assert (b.irrep_id, b.dim) == (b.psi.id, b.psi.dim)
             assert b.in_cols == slice(b.in_offset, b.in_offset + b.m_in * b.dim)
             assert b.out_cols == slice(b.out_offset, b.out_offset + b.m_out * b.dim)
@@ -231,13 +232,15 @@ def test_network_invariance(kind, N):
         np.testing.assert_allclose(net.forward(acted), base, atol=1e-8)
 
 
-def test_forward_promotes_single_sample():
+def test_forward_refuses_non_2d_input(monkeypatch):
+    """A single vector, or a 3D array whose last axis has the input width,
+    is refused before any layer runs."""
     G, net = _small_net()
-    x = np.zeros(net.input_rep.dim)
-    out = net.forward(x)
-    assert out.shape == (2,)  # single vector in, single logit row out
-    with pytest.raises(ValueError):
-        net.forward(np.zeros((2, 3, 4)))
+    monkeypatch.setattr(net, "_run", lambda *a: pytest.fail("a layer ran"))
+    dim = net.input_rep.dim
+    for X, ndim in ((np.zeros(dim), 1), (np.zeros((3, 5, dim)), 3)):
+        with pytest.raises(ValueError, match=f"need a 2D batch of rows, got a {ndim}D array"):
+            net.forward(X)
 
 
 def test_gradients_match_finite_differences():
@@ -579,9 +582,11 @@ def test_train_reaches_margin_and_stops():
     result = train(net, X, y, cfg)
     assert result.epochs <= 300
     assert result.margin_accuracy >= 0.99
-    assert len(result.loss_history) == result.epochs
     frac = float(np.mean(margins(net, X, y) > 0.5))
-    assert frac >= 0.99
+    assert frac == result.margin_accuracy
+    assert [f.name for f in dataclasses.fields(result)] == ["epochs", "margin_accuracy"]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        result.epochs = 0
 
 
 def test_train_margin_not_reached():
@@ -687,6 +692,9 @@ def test_train_config_validation():
         field = next(iter(bad))
         with pytest.raises(ValueError, match=field):
             TrainConfig(**{"gamma": 1.0, **bad})
+    # Frozen, so no assignment gets round these checks.
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        TrainConfig(gamma=1.0).max_epochs = 0
 
 
 def test_train_config_accepts_edge_values():

@@ -84,7 +84,8 @@ def test_quaternion_sign_characters():
     }
     for pid, positive in plus.items():
         psi = irrep_by_id(G, pid)
-        for g, name in enumerate(G.names):
+        # The quaternion elements in their fixed order (see `groups`).
+        for g, name in enumerate(("1", "-1", "i", "-i", "j", "-j", "k", "-k")):
             expected = 1.0 if name in positive else -1.0
             assert psi.characters[g] == expected
 
@@ -145,14 +146,14 @@ def test_irrep_by_id_unknown():
 
 def test_intertwiner_basis_real_type():
     G = build_group("dihedral", 4)
-    basis = intertwiner_basis(G, irrep_by_id(G, "freq:1"))
+    basis = intertwiner_basis(irrep_by_id(G, "freq:1"))
     assert basis.shape == (1, 2, 2)
     np.testing.assert_array_equal(basis[0], np.eye(2))
 
 
 def test_intertwiner_basis_complex_type():
     G = build_group("cyclic", 8)
-    basis = intertwiner_basis(G, irrep_by_id(G, "freq:1"))
+    basis = intertwiner_basis(irrep_by_id(G, "freq:1"))
     assert basis.shape == (2, 2, 2)
     np.testing.assert_array_equal(basis[0], np.eye(2))
     np.testing.assert_array_equal(basis[1], np.array([[0.0, -1.0], [1.0, 0.0]]))
@@ -160,7 +161,7 @@ def test_intertwiner_basis_complex_type():
 
 def test_intertwiner_basis_quaternion_type():
     G = build_group("quaternion")
-    basis = intertwiner_basis(G, irrep_by_id(G, "quat"))
+    basis = intertwiner_basis(irrep_by_id(G, "quat"))
     assert basis.shape == (4, 4, 4)
     np.testing.assert_array_equal(basis[0], np.eye(4))
     # the three non-identity patterns anticommute pairwise and square to -I
@@ -186,7 +187,7 @@ def test_intertwiner_basis_quaternion_type():
 def test_intertwiners_commute_with_irrep(kind, N, pid):
     G = build_group(kind, N)
     psi = irrep_by_id(G, pid)
-    basis = intertwiner_basis(G, psi)
+    basis = intertwiner_basis(psi)
     for B in basis:
         for g in range(G.order):
             np.testing.assert_allclose(B @ psi.matrices[g], psi.matrices[g] @ B, atol=1e-12)
@@ -197,7 +198,7 @@ def test_intertwiner_basis_orthogonality():
     for kind, N in (("cyclic", 12), ("dihedral", 6), ("quaternion", 8)):
         G = build_group(kind, N)
         for psi in irreps_of(G):
-            basis = intertwiner_basis(G, psi)
+            basis = intertwiner_basis(psi)
             gram = np.einsum("kpq,lpq->kl", basis, basis)
             np.testing.assert_allclose(gram, psi.dim * np.eye(psi.type_c), atol=1e-12)
 
@@ -212,7 +213,7 @@ def test_spectral_equals_scaled_frobenius_on_span():
     ):
         G = build_group(kind, N)
         psi = irrep_by_id(G, pid)
-        basis = intertwiner_basis(G, psi)
+        basis = intertwiner_basis(psi)
         for _ in range(20):
             W = np.tensordot(rng.standard_normal(psi.type_c), basis, axes=1)
             spec = np.linalg.norm(W, 2)

@@ -114,7 +114,7 @@ def test_unit_basis_projection_returns_the_gradient_itself():
         G = build_group(kind, N)
         for psi in irreps_of(G):
             if psi.dim == 1:
-                assert np.array_equal(intertwiner_basis(G, psi), np.ones((1, 1, 1)))
+                assert np.array_equal(intertwiner_basis(psi), np.ones((1, 1, 1)))
     grad = np.random.default_rng(7).standard_normal((6, 5))
     out = kernels.project_coefficients(grad, np.ones((1, 1, 1)))
     assert out.shape == (6, 5, 1)
@@ -137,7 +137,7 @@ def test_expand_equals_einsum_bit_for_bit_on_catalog_bases():
         for N in ns:
             G = build_group(kind, N)
             for psi in irreps_of(G):
-                basis = intertwiner_basis(G, psi)
+                basis = intertwiner_basis(psi)
                 c, d, _ = basis.shape
                 coeffs = rng.standard_normal((7, 5, c))
                 coeffs[0] = 0.0

@@ -137,7 +137,6 @@ def test_check_equivariance_detects_broken_layer():
     assert not layer.blockwise  # a dense-route layer reads its cached W
     rng = np.random.default_rng(4)
     layer._matrix = rng.standard_normal(layer.matrix.shape)
-    layer._dirty = False
     assert not check_equivariance(layer, 1e-10).passed
 
 
@@ -177,7 +176,7 @@ def test_intertwiner_identity_three_types():
     ):
         G = build_group(kind, N)
         psi = irrep_by_id(G, pid)
-        result = intertwiner_identity_check(G, psi, trials=50, seed=5)
+        result = intertwiner_identity_check(psi, trials=50, seed=5)
         assert result.passed
         assert result.trials == 50
 
